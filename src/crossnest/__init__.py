@@ -6,6 +6,7 @@ from .automata import (
     Multigraph,
     build_general,
     build_permutation_22,
+    build_quotient,
     build_setpartition_22,
     export_dot,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "VertexKind",
     "build_general",
     "build_permutation_22",
+    "build_quotient",
     "build_setpartition_22",
     "closers",
     "count",

@@ -36,6 +36,17 @@ Permutation vertex moves on (U_1..U_r; L_1..L_r):
 * lower composite in colour c: remove a corner from L_c, then add one back
   (lower arcs close before they open at a vertex);
 * lower transitory, distinct colours: remove from L_old, add to L_new.
+
+Permuting the colours maps each graph onto itself and fixes the start
+state, so the colour orbits of states form an equitable partition: every
+state of an orbit has the same number of edges into any given orbit.
+Closed walks at the start state therefore equal closed walks at the start
+orbit of the quotient matrix, whose entry (a, b) counts the edges from one
+member of orbit a into orbit b.  `build_quotient` builds that matrix
+directly by a breadth-first search over canonical states (the per-colour
+shapes, or (upper, lower) shape pairs, in sorted order), so 2^r set
+partition states fold into r + 1 orbits.  The `gf` and `series` verbs
+count on the quotient; the full graph is built only to be printed.
 """
 from __future__ import annotations
 
@@ -43,14 +54,19 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
-from .errors import CapExceeded
+from .errors import CapExceeded, ConsistencyError
 
 DEFAULT_MAX_STATES = 20_000
 
 
 @dataclass
 class Multigraph:
-    """A symmetric multigraph with a distinguished start state (index 0)."""
+    """A multigraph with a distinguished start state (index 0).
+
+    `matrix[a][b]` counts the edges from state a to state b.  The full
+    transfer graphs are symmetric; colour quotients (builder "quotient")
+    are not, since an orbit's row counts edges from one of its members.
+    """
 
     family: str  # "setpartition" | "permutation"
     j: int
@@ -299,6 +315,15 @@ def _shape_name(shape) -> str:
     return "(%s)" % ".".join(str(p) for p in shape)
 
 
+def _check_bounds(family: str, j: int, k: int, r: int) -> None:
+    if family not in ("setpartition", "permutation"):
+        raise ValueError("family must be 'setpartition' or 'permutation'")
+    if j < 2 or k < 2:
+        raise ValueError("bounds j, k must be at least 2")
+    if r < 1:
+        raise ValueError("need at least one colour")
+
+
 def build_general(family: str, j: int, k: int, r: int, max_states: Optional[int] = None) -> Multigraph:
     """Walk graph for arbitrary bounds j, k >= 2 and r colours.
 
@@ -309,159 +334,192 @@ def build_general(family: str, j: int, k: int, r: int, max_states: Optional[int]
     >>> build_general("setpartition", 3, 3, 1).size
     6
     """
-    if family not in ("setpartition", "permutation"):
-        raise ValueError("family must be 'setpartition' or 'permutation'")
-    if j < 2 or k < 2:
-        raise ValueError("bounds j, k must be at least 2")
-    if r < 1:
-        raise ValueError("need at least one colour")
+    _check_bounds(family, j, k, r)
     cap = DEFAULT_MAX_STATES if max_states is None else max_states
     shapes = _bounded_shapes(j, k)
     if family == "setpartition":
         total = len(shapes) ** r
-        if total > cap:
-            raise CapExceeded(
-                "general builder would need %d states (cap %d); raise the cap "
-                "to proceed" % (total, cap)
-            )
-        return _general_setpartition(j, k, r, shapes)
-    sizes = [1]  # counts of colour tuples by total box count
-    for _ in range(r):
-        nxt = [0] * (len(sizes) + sum(shapes[-1]))
-        for t, cnt in enumerate(sizes):
-            for s in shapes:
-                nxt[t + sum(s)] += cnt
-        sizes = nxt
-    total = sum(c * c for c in sizes)
+    else:
+        sizes = [1]  # counts of colour tuples by total box count
+        for _ in range(r):
+            nxt = [0] * (len(sizes) + sum(shapes[-1]))
+            for t, cnt in enumerate(sizes):
+                for s in shapes:
+                    nxt[t + sum(s)] += cnt
+            sizes = nxt
+        total = sum(c * c for c in sizes)
     if total > cap:
         raise CapExceeded(
             "general builder would need %d states (cap %d); raise the cap to "
             "proceed" % (total, cap)
         )
-    return _general_permutation(j, k, r, shapes)
-
-
-def _general_setpartition(j, k, r, shapes) -> Multigraph:
-    states = sorted(
-        _tuples(shapes, r), key=lambda st: (sum(sum(s) for s in st), st)
-    )
+    if family == "setpartition":
+        states = sorted(_tuples(shapes, r), key=lambda st: (_boxes(st), st))
+    else:
+        by_total: dict[int, list] = {}
+        for t in _tuples(shapes, r):
+            by_total.setdefault(_boxes(t), []).append(t)
+        states = sorted(
+            ((u, low) for group in by_total.values() for u in group for low in group),
+            key=lambda st: (_boxes(st[0]), st),
+        )
+    moves = _MOVES[family]
     index = {s: i for i, s in enumerate(states)}
     m = [[0] * len(states) for _ in states]
-    for st in states:
-        i = index[st]
-        m[i][i] += 1  # gap with no arc
-        for c in range(r):
-            lam = st[c]
-            for a in _addable(lam, j, k):
-                grown = _grow(lam, a)
-                # plain opener
-                m[i][index[st[:c] + (grown,) + st[c + 1 :]]] += 1
-                # same-colour open-then-close across the gap
-                for b in _removable(grown):
-                    t = st[:c] + (_shrink(grown, b),) + st[c + 1 :]
-                    m[i][index[t]] += 1
-                # open c, close another colour
-                for c2 in range(r):
-                    if c2 == c:
-                        continue
-                    for b in _removable(st[c2]):
-                        pieces = list(st)
-                        pieces[c] = grown
-                        pieces[c2] = _shrink(st[c2], b)
-                        m[i][index[tuple(pieces)]] += 1
-            for b in _removable(lam):
-                m[i][index[st[:c] + (_shrink(lam, b),) + st[c + 1 :]]] += 1
+    for row, st in zip(m, states):
+        for t in moves(st, j, k):
+            row[index[t]] += 1
     return Multigraph(
-        family="setpartition",
+        family=family,
         j=j,
         k=k,
         colours=r,
-        states=tuple("|".join(_shape_name(s) for s in st) for st in states),
+        states=tuple(_state_name(family, st) for st in states),
         matrix=tuple(tuple(row) for row in m),
         builder="general",
     )
 
 
-def _general_permutation(j, k, r, shapes) -> Multigraph:
-    tuples = list(_tuples(shapes, r))
-    by_total: dict[int, list] = {}
-    for t in tuples:
-        by_total.setdefault(sum(sum(s) for s in t), []).append(t)
-    states = []
-    for total in sorted(by_total):
-        for u in by_total[total]:
-            for low in by_total[total]:
-                states.append((u, low))
-    states.sort(key=lambda st: (sum(sum(s) for s in st[0]), st))
-    index = {s: i for i, s in enumerate(states)}
-    m = [[0] * len(states) for _ in states]
-    for u, low in states:
-        i = index[(u, low)]
-        for c in range(r):
-            # upper composite: insert, then delete from the grown shape
-            for a in _addable(u[c], j, k):
-                grown = _grow(u[c], a)
-                for b in _removable(grown):
-                    t = (u[:c] + (_shrink(grown, b),) + u[c + 1 :], low)
-                    m[i][index[t]] += 1
-            # lower composite: delete, then re-insert
-            for b in _removable(low[c]):
-                shrunk = _shrink(low[c], b)
-                for a in _addable(shrunk, j, k):
-                    t = (u, low[:c] + (_grow(shrunk, a),) + low[c + 1 :])
-                    m[i][index[t]] += 1
-            # cross-colour transitories
-            for c2 in range(r):
+def build_quotient(family: str, j: int, k: int, r: int, max_states: Optional[int] = None) -> Multigraph:
+    """The colour-orbit quotient of `build_general(family, j, k, r)`.
+
+    A breadth-first search from the empty state over canonical states
+    (colour components sorted); `matrix[a][b]` counts the moves from the
+    representative of orbit a into orbit b.  Orbit 0 is the start state.
+    The search stops as soon as the orbit count passes `max_states`.
+
+    >>> build_quotient("setpartition", 2, 2, 3).matrix
+    ((4, 3, 0, 0), (1, 5, 2, 0), (0, 2, 4, 1), (0, 0, 3, 1))
+    """
+    _check_bounds(family, j, k, r)
+    cap = DEFAULT_MAX_STATES if max_states is None else max_states
+    start = _start_state(family, r)
+    if len(set(_components(family, start))) != 1:
+        raise ConsistencyError(
+            "start state %s is not fixed by every colour permutation"
+            % _state_name(family, start)
+        )
+    moves = _MOVES[family]
+    reps = [start]
+    index = {start: 0}
+    rows: list[dict[int, int]] = []
+    for rep in reps:  # reps grows while it is scanned
+        row: dict[int, int] = {}
+        for t in moves(rep, j, k):
+            t = _canonical(family, t)
+            dest = index.get(t)
+            if dest is None:
+                if len(reps) >= cap:
+                    raise CapExceeded(
+                        "colour quotient has more than %d orbits; raise the "
+                        "cap to proceed" % cap
+                    )
+                dest = index[t] = len(reps)
+                reps.append(t)
+            row[dest] = row.get(dest, 0) + 1
+        rows.append(row)
+    return Multigraph(
+        family=family,
+        j=j,
+        k=k,
+        colours=r,
+        states=tuple(_state_name(family, st) for st in reps),
+        matrix=tuple(tuple(row.get(c, 0) for c in range(len(reps))) for row in rows),
+        builder="quotient",
+    )
+
+
+def _boxes(shapes) -> int:
+    return sum(sum(s) for s in shapes)
+
+
+def _put(shapes, c, shape):
+    return shapes[:c] + (shape,) + shapes[c + 1 :]
+
+
+def _setpartition_moves(st, j, k):
+    """Targets of the gap moves from shape tuple `st`, one per edge."""
+    yield st  # gap with no arc
+    for c, lam in enumerate(st):
+        for a in _addable(lam, j, k):
+            grown = _grow(lam, a)
+            yield _put(st, c, grown)  # plain opener
+            # same-colour open-then-close across the gap
+            for b in _removable(grown):
+                yield _put(st, c, _shrink(grown, b))
+            # open c, close another colour
+            for c2, other in enumerate(st):
                 if c2 == c:
                     continue
-                for a in _addable(u[c], j, k):
-                    for b in _removable(u[c2]):
-                        pieces = list(u)
-                        pieces[c] = _grow(u[c], a)
-                        pieces[c2] = _shrink(u[c2], b)
-                        m[i][index[(tuple(pieces), low)]] += 1
-                for a in _addable(low[c], j, k):
-                    for b in _removable(low[c2]):
-                        pieces = list(low)
-                        pieces[c] = _grow(low[c], a)
-                        pieces[c2] = _shrink(low[c2], b)
-                        m[i][index[(u, tuple(pieces))]] += 1
-        # openers: one upper and one lower corner
-        for cu in range(r):
-            for a in _addable(u[cu], j, k):
-                for cl in range(r):
-                    for b in _addable(low[cl], j, k):
-                        t = (
-                            u[:cu] + (_grow(u[cu], a),) + u[cu + 1 :],
-                            low[:cl] + (_grow(low[cl], b),) + low[cl + 1 :],
-                        )
-                        m[i][index[t]] += 1
-        # closers
-        for cu in range(r):
-            for a in _removable(u[cu]):
-                for cl in range(r):
-                    for b in _removable(low[cl]):
-                        t = (
-                            u[:cu] + (_shrink(u[cu], a),) + u[cu + 1 :],
-                            low[:cl] + (_shrink(low[cl], b),) + low[cl + 1 :],
-                        )
-                        m[i][index[t]] += 1
-    return Multigraph(
-        family="permutation",
-        j=j,
-        k=k,
-        colours=r,
-        states=tuple(
-            "%s;%s"
-            % (
-                "|".join(_shape_name(s) for s in u),
-                "|".join(_shape_name(s) for s in low),
-            )
-            for u, low in states
-        ),
-        matrix=tuple(tuple(row) for row in m),
-        builder="general",
-    )
+                for b in _removable(other):
+                    yield _put(_put(st, c, grown), c2, _shrink(other, b))
+        for b in _removable(lam):
+            yield _put(st, c, _shrink(lam, b))
+
+
+def _permutation_moves(state, j, k):
+    """Targets of the vertex moves from (upper, lower) shape tuples, one
+    per edge."""
+    u, low = state
+    r = len(u)
+    for c in range(r):
+        # upper composite: insert, then delete from the grown shape
+        for a in _addable(u[c], j, k):
+            grown = _grow(u[c], a)
+            for b in _removable(grown):
+                yield (_put(u, c, _shrink(grown, b)), low)
+        # lower composite: delete, then re-insert
+        for b in _removable(low[c]):
+            shrunk = _shrink(low[c], b)
+            for a in _addable(shrunk, j, k):
+                yield (u, _put(low, c, _grow(shrunk, a)))
+        # cross-colour transitories
+        for c2 in range(r):
+            if c2 == c:
+                continue
+            for a in _addable(u[c], j, k):
+                for b in _removable(u[c2]):
+                    yield (_put(_put(u, c, _grow(u[c], a)), c2, _shrink(u[c2], b)), low)
+            for a in _addable(low[c], j, k):
+                for b in _removable(low[c2]):
+                    yield (u, _put(_put(low, c, _grow(low[c], a)), c2, _shrink(low[c2], b)))
+    # openers: one upper and one lower corner
+    for cu in range(r):
+        for a in _addable(u[cu], j, k):
+            for cl in range(r):
+                for b in _addable(low[cl], j, k):
+                    yield (_put(u, cu, _grow(u[cu], a)), _put(low, cl, _grow(low[cl], b)))
+    # closers
+    for cu in range(r):
+        for a in _removable(u[cu]):
+            for cl in range(r):
+                for b in _removable(low[cl]):
+                    yield (_put(u, cu, _shrink(u[cu], a)), _put(low, cl, _shrink(low[cl], b)))
+
+
+_MOVES = {"setpartition": _setpartition_moves, "permutation": _permutation_moves}
+
+
+def _start_state(family: str, r: int):
+    empty = ((),) * r
+    return empty if family == "setpartition" else (empty, empty)
+
+
+def _components(family: str, st) -> tuple:
+    """The per-colour parts of a state, which colour permutations shuffle."""
+    return st if family == "setpartition" else tuple(zip(*st))
+
+
+def _canonical(family: str, st):
+    """The orbit representative: per-colour parts in sorted order."""
+    parts = sorted(_components(family, st))
+    return tuple(parts) if family == "setpartition" else tuple(zip(*parts))
+
+
+def _state_name(family: str, st) -> str:
+    if family == "setpartition":
+        return "|".join(_shape_name(s) for s in st)
+    return ";".join("|".join(_shape_name(s) for s in half) for half in st)
 
 
 def _tuples(shapes, r):

@@ -12,10 +12,13 @@ Verbs:
 Exit codes: 0 success, 1 usage or input error, 2 a resource cap refused
 the computation, 3 a consistency check failed.
 
+``gf`` and ``series`` work on the colour-orbit quotient of the transfer
+graph (`automata.build_quotient`); ``graph`` prints the full graph.
+
 Resource caps resolve flag > environment variable > default.  The
-variables are CROSSNEST_MAX_STATES (graph construction),
-CROSSNEST_MAX_GF_STATES (determinant size) and CROSSNEST_MAX_ORACLE
-(enumeration workload).
+variables are CROSSNEST_MAX_STATES (graph states, or orbits for ``gf``
+and ``series``), CROSSNEST_MAX_GF_STATES (determinant size, in orbits)
+and CROSSNEST_MAX_ORACLE (enumeration workload).
 """
 from __future__ import annotations
 
@@ -161,11 +164,25 @@ def _factor_text(constant: int, slopes) -> str:
     return text
 
 
-def cmd_gf(args) -> int:
-    g = _build_graph(args)
-    rf = ratfunc.gf_from_graph(
-        g, max_states=_cap(args.max_gf_states, "CROSSNEST_MAX_GF_STATES")
+def _build_quotient(args) -> automata.Multigraph:
+    """The colour-orbit quotient that `gf` and `series` count walks on."""
+    return automata.build_quotient(
+        args.family,
+        args.j,
+        args.k,
+        args.colours,
+        max_states=_cap(args.max_states, "CROSSNEST_MAX_STATES"),
     )
+
+
+def _gf(args, q: automata.Multigraph) -> ratfunc.RationalFunction:
+    return ratfunc.gf_from_graph(
+        q, max_states=_cap(args.max_gf_states, "CROSSNEST_MAX_GF_STATES")
+    )
+
+
+def cmd_gf(args) -> int:
+    rf = _gf(args, _build_quotient(args))
     factors = ratfunc.split_linear_factors(rf.den)
     if args.json:
         _emit_json(
@@ -189,8 +206,8 @@ def cmd_gf(args) -> int:
     return 0
 
 
-def _size_counts(args, g: automata.Multigraph) -> list[int]:
-    """Counts of objects of size 0 .. terms, from walks in the graph.
+def _size_counts(args, q: automata.Multigraph) -> list[int]:
+    """Counts of objects of size 0 .. terms, from walks in the quotient.
 
     Walk length m corresponds to size m for permutations and size m + 1
     for set partitions, whose moves live in the n + 1 gaps of a diagram.
@@ -198,20 +215,16 @@ def _size_counts(args, g: automata.Multigraph) -> list[int]:
     shift = 1 if args.family == "setpartition" else 0
     needed = args.terms + 1 - shift
     if args.method == "power":
-        coeffs = ratfunc.series_by_power(g, needed, offset=shift).coeffs
+        coeffs = ratfunc.series_by_power(q, needed, offset=shift).coeffs
     else:
-        rf = ratfunc.gf_from_graph(
-            g, max_states=_cap(args.max_gf_states, "CROSSNEST_MAX_GF_STATES")
-        )
-        coeffs = ratfunc.series(rf, needed, offset=shift).coeffs
+        coeffs = ratfunc.series(_gf(args, q), needed, offset=shift).coeffs
     return [1] * shift + list(coeffs)
 
 
 def cmd_series(args) -> int:
     if args.terms < 0:
         raise ValueError("--terms must be nonnegative")
-    g = _build_graph(args)
-    counts = _size_counts(args, g)
+    counts = _size_counts(args, _build_quotient(args))
     if args.json:
         _emit_json(
             {
@@ -533,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_count)
 
-    def graph_args(p, gf_cap=False):
+    def graph_args(p, quotient=False):
         family_arg(p)
         p.add_argument("--colours", type=int, default=1)
         p.add_argument("--j", type=int, default=2)
@@ -541,25 +554,31 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--general",
             action="store_true",
-            help="use the shape-tuple builder even when j = k = 2",
+            help="no effect: the colour quotient always uses the shape-tuple "
+            "moves"
+            if quotient
+            else "use the shape-tuple builder even when j = k = 2",
         )
         p.add_argument(
-            "--max-states", type=int, help="graph size cap (default 20000)"
+            "--max-states",
+            type=int,
+            help="%s cap (default 20000)"
+            % ("colour-orbit" if quotient else "graph state"),
         )
-        if gf_cap:
+        if quotient:
             p.add_argument(
                 "--max-gf-states",
                 type=int,
-                help="determinant size cap (default 200)",
+                help="determinant size cap, in orbits (default 200)",
             )
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("gf", help="exact generating function")
-    graph_args(p, gf_cap=True)
+    graph_args(p, quotient=True)
     p.set_defaults(func=cmd_gf)
 
     p = sub.add_parser("series", help="counting series by size")
-    graph_args(p, gf_cap=True)
+    graph_args(p, quotient=True)
     p.add_argument(
         "--terms",
         type=int,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Optional
 
-from .errors import CapExceeded
+from .errors import CapExceeded, ConsistencyError
 
 DEFAULT_MAX_GF_STATES = 200
 
@@ -402,7 +402,11 @@ def det_identity_minus_x(mat) -> IntPoly:
         ]
         return det(entries)
     ch = charpoly(mat)
-    assert ch.degree() == n and ch.coeffs[-1] == 1
+    if ch.degree() != n or ch.coeffs[-1] != 1:
+        raise ConsistencyError(
+            "characteristic polynomial of a %d x %d matrix is not monic of "
+            "degree %d" % (n, n, n)
+        )
     return IntPoly(list(reversed(ch.coeffs)))
 
 

@@ -345,17 +345,28 @@ def test_oracle_cap_is_exit_two(capsys):
 
 
 def test_gf_cap_is_exit_two(capsys):
+    # j = k = 3 with six colours: 46,656 states fold into 462 orbits
     code, _, err = run_cli(
-        capsys, "gf", "--family", "setpartition", "--colours", "9"
+        capsys, "gf", "--family", "setpartition", "--j", "3", "--k", "3",
+        "--colours", "6",
     )
     assert code == 2
-    assert "512" in err
+    assert "462" in err
 
 
 def test_env_cap_applies(capsys, monkeypatch):
-    monkeypatch.setenv("CROSSNEST_MAX_GF_STATES", "3")
+    monkeypatch.setenv("CROSSNEST_MAX_GF_STATES", "2")  # r=2 has 3 orbits
     code, _, _ = run_cli(capsys, "gf", "--family", "setpartition", "--colours", "2")
     assert code == 2
+
+
+def test_max_states_stops_the_orbit_search(capsys):
+    code, _, err = run_cli(
+        capsys, "series", "--family", "setpartition", "--j", "3", "--k", "3",
+        "--colours", "6", "--method", "power", "--max-states", "50",
+    )
+    assert code == 2
+    assert "more than 50 orbits" in err
 
 
 def test_flag_overrides_env_cap(capsys, monkeypatch):

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossnest.automata import build_permutation_22, build_setpartition_22
-from crossnest.errors import CapExceeded
+from crossnest import ratfunc
+from crossnest.errors import CapExceeded, ConsistencyError
 from crossnest.ratfunc import (
     ONE,
     IntPoly,
@@ -208,6 +209,13 @@ def test_gf_state_cap():
 
 
 # --- factor splitting -------------------------------------------------------
+
+
+def test_non_monic_charpoly_is_a_consistency_error(monkeypatch):
+    n = 17  # past the direct-elimination size, so the charpoly path runs
+    monkeypatch.setattr(ratfunc, "charpoly", lambda mat: IntPoly([1] * n + [2]))
+    with pytest.raises(ConsistencyError, match="not monic"):
+        det_identity_minus_x([[0] * n for _ in range(n)])
 
 
 def test_split_linear_factors():
