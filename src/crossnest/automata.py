@@ -9,11 +9,17 @@ per gap between consecutive vertices for set partitions (a size-n partition
 is an (n-1)-step walk), one step per vertex for permutations (size n is an
 n-step walk, with upper and lower shape tuples of equal total size).
 
-For the fully worked-out bound j = k = 2 a shape is either empty or a
-single box, so states collapse to subsets of colours: `build_setpartition_22`
-uses subsets of open colours, `build_permutation_22` pairs of equal-size
-subsets (upper; lower).  These carry the classic edge labels; the general
-builder enumerates corner moves instead and is checked against them.
+Each family has one move generator, `_setpartition_moves` or
+`_permutation_moves`, which looks corners up in per-box tables; it is the
+only source of edges for the full graphs (`build_general`) and the colour
+quotients (`build_quotient`).  At the fully worked-out bound j = k = 2 a
+shape is either empty or a single box, so a state is named by its set of
+open colours (for permutations, equal-size upper|lower sets) and every move
+carries its classic label: `x` an empty gap, a colour that opens, closes or
+forms a loop, `c1c2` an arc closed in one colour and opened in another,
+`uc1c2` / `oc1c2` upper / lower transitories, `ct` a lower composite.
+`build_setpartition_22` and `build_permutation_22` return these labelled
+graphs; other bounds name states by their shapes and leave edges unlabelled.
 
 Set partition gap moves from shapes (l_1..l_r), all bounds enforced on
 intermediates too:
@@ -51,7 +57,7 @@ count on the quotient; the full graph is built only to be printed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import lru_cache
 from typing import Optional
 
 from .errors import CapExceeded, ConsistencyError
@@ -106,13 +112,6 @@ class Multigraph:
         }
 
 
-def _subsets_in_order(r: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    for size in range(r + 1):
-        out.extend(combinations(range(1, r + 1), size))
-    return out
-
-
 def _set_name(s: tuple[int, ...]) -> str:
     return "{%s}" % ",".join(str(c) for c in s)
 
@@ -124,56 +123,7 @@ def build_setpartition_22(r: int) -> Multigraph:
     >>> build_setpartition_22(1).matrix
     ((2, 1), (1, 1))
     """
-    if r < 1:
-        raise ValueError("need at least one colour")
-    states = _subsets_in_order(r)
-    index = {s: i for i, s in enumerate(states)}
-    m = [[0] * len(states) for _ in states]
-    labels: dict[tuple[int, int], list[str]] = {}
-
-    def add(i, jdx, lab):
-        m[i][jdx] += 1
-        if i > jdx:
-            i, jdx = jdx, i
-        labels.setdefault((i, jdx), []).append(lab)
-
-    for s in states:
-        i = index[s]
-        open_set = set(s)
-        # do-nothing gap, then a lone arc across the gap per unused colour
-        m[i][i] += 1
-        labels.setdefault((i, i), []).append("x")
-        for c in range(1, r + 1):
-            if c not in open_set:
-                m[i][i] += 1
-                labels.setdefault((i, i), []).append(str(c))
-        # open one new colour
-        for c in range(1, r + 1):
-            if c not in open_set:
-                t = tuple(sorted(open_set | {c}))
-                add(i, index[t], str(c))
-        # close then reopen a different colour across the gap
-        for c_close in s:
-            for c_open in range(1, r + 1):
-                if c_open in open_set:
-                    continue
-                t = tuple(sorted((open_set - {c_close}) | {c_open}))
-                if index[t] > i:
-                    add(i, index[t], "%d%d" % tuple(sorted((c_close, c_open))))
-    # closing edges are the transposes of the opening ones
-    for i in range(len(states)):
-        for jdx in range(i):
-            m[i][jdx] = m[jdx][i]
-    return Multigraph(
-        family="setpartition",
-        j=2,
-        k=2,
-        colours=r,
-        states=tuple(_set_name(s) for s in states),
-        matrix=tuple(tuple(row) for row in m),
-        builder="dedicated",
-        edge_labels={key: tuple(val) for key, val in labels.items()},
-    )
+    return _build_full("setpartition", 2, 2, r, None)
 
 
 def build_permutation_22(r: int) -> Multigraph:
@@ -184,74 +134,7 @@ def build_permutation_22(r: int) -> Multigraph:
     >>> build_permutation_22(1).matrix
     ((1, 1), (1, 1))
     """
-    if r < 1:
-        raise ValueError("need at least one colour")
-    states: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for size in range(r + 1):
-        for u in combinations(range(1, r + 1), size):
-            for low in combinations(range(1, r + 1), size):
-                states.append((u, low))
-    index = {s: i for i, s in enumerate(states)}
-    m = [[0] * len(states) for _ in states]
-    labels: dict[tuple[int, int], list[str]] = {}
-
-    def add(i, jdx, lab):
-        m[i][jdx] += 1
-        if i > jdx:
-            i, jdx = jdx, i
-        labels.setdefault((i, jdx), []).append(lab)
-
-    for u, low in states:
-        i = index[(u, low)]
-        uset, lset = set(u), set(low)
-        # fixed points in colours not open above, and lower-transitory loops
-        for c in range(1, r + 1):
-            if c not in uset:
-                m[i][i] += 1
-                labels.setdefault((i, i), []).append(str(c))
-        for c in low:
-            m[i][i] += 1
-            labels.setdefault((i, i), []).append("%dt" % c)
-        # upper transitory: swap one open upper colour
-        for c_old in u:
-            for c_new in range(1, r + 1):
-                if c_new in uset:
-                    continue
-                t = (tuple(sorted((uset - {c_old}) | {c_new})), low)
-                if index[t] > i:
-                    add(i, index[t], "u%d%d" % tuple(sorted((c_old, c_new))))
-        # lower transitory: swap one open lower colour
-        for c_old in low:
-            for c_new in range(1, r + 1):
-                if c_new in lset:
-                    continue
-                t = (u, tuple(sorted((lset - {c_old}) | {c_new})))
-                if index[t] > i:
-                    add(i, index[t], "o%d%d" % tuple(sorted((c_old, c_new))))
-        # opener: one new upper colour and one new lower colour
-        for cu in range(1, r + 1):
-            if cu in uset:
-                continue
-            for cl in range(1, r + 1):
-                if cl in lset:
-                    continue
-                t = (tuple(sorted(uset | {cu})), tuple(sorted(lset | {cl})))
-                add(i, index[t], "%d%d" % (cu, cl))
-    for i in range(len(states)):
-        for jdx in range(i):
-            m[i][jdx] = m[jdx][i]
-    return Multigraph(
-        family="permutation",
-        j=2,
-        k=2,
-        colours=r,
-        states=tuple(
-            "%s|%s" % (_set_name(u), _set_name(low)) for u, low in states
-        ),
-        matrix=tuple(tuple(row) for row in m),
-        builder="dedicated",
-        edge_labels={key: tuple(val) for key, val in labels.items()},
-    )
+    return _build_full("permutation", 2, 2, r, None)
 
 
 # ---------------------------------------------------------------------------
@@ -274,41 +157,30 @@ def _bounded_shapes(j: int, k: int) -> list[tuple[int, ...]]:
     return shapes
 
 
-def _addable(shape, j: int, k: int):
-    """Corners that can be added while staying inside the box."""
+def _grown(shape, j: int, k: int) -> tuple:
+    """The shapes one box larger that stay inside the box, by row."""
     out = []
-    for r in range(len(shape) + 1):
-        cur = shape[r] if r < len(shape) else 0
-        above = shape[r - 1] if r > 0 else j - 1
-        if cur < above and r < k - 1:
-            out.append(r)
-    return out
+    for a in range(min(len(shape) + 1, k - 1)):
+        cur = shape[a] if a < len(shape) else 0
+        if cur < (shape[a - 1] if a else j - 1):
+            out.append(shape[:a] + (cur + 1,) + shape[a + 1 :])
+    return tuple(out)
 
 
-def _removable(shape):
+def _shrunk(shape) -> tuple:
+    """The shapes one box smaller, by row."""
     out = []
-    for r in range(len(shape)):
-        below = shape[r + 1] if r + 1 < len(shape) else 0
-        if shape[r] > below:
-            out.append(r)
-    return out
+    for b, part in enumerate(shape):
+        if part > (shape[b + 1] if b + 1 < len(shape) else 0):
+            out.append(shape[:b] + ((part - 1,) if part > 1 else ()) + shape[b + 1 :])
+    return tuple(out)
 
 
-def _grow(shape, r):
-    rows = list(shape)
-    if r == len(rows):
-        rows.append(1)
-    else:
-        rows[r] += 1
-    return tuple(rows)
-
-
-def _shrink(shape, r):
-    rows = list(shape)
-    rows[r] -= 1
-    if rows and rows[-1] == 0:
-        rows.pop()
-    return tuple(rows)
+@lru_cache(maxsize=8)
+def _corners(j: int, k: int) -> tuple[dict, dict]:
+    """Corner tables for one box: each shape's grown and shrunk shapes."""
+    shapes = _bounded_shapes(j, k)
+    return {s: _grown(s, j, k) for s in shapes}, {s: _shrunk(s) for s in shapes}
 
 
 def _shape_name(shape) -> str:
@@ -329,11 +201,18 @@ def build_general(family: str, j: int, k: int, r: int, max_states: Optional[int]
 
     States are r-tuples of box-bounded shapes (pairs of tuples for
     permutations); the state count is guarded because it grows like the
-    shape count to the r-th power.
+    shape count to the r-th power.  At j = k = 2 this is the labelled graph
+    of `build_setpartition_22` or `build_permutation_22`.
 
     >>> build_general("setpartition", 3, 3, 1).size
     6
     """
+    return _build_full(family, j, k, r, max_states)
+
+
+def _build_full(family: str, j: int, k: int, r: int, max_states: Optional[int]) -> Multigraph:
+    """The body of `build_general`, which the j = k = 2 builders also call
+    so that no public builder runs inside another."""
     _check_bounds(family, j, k, r)
     cap = DEFAULT_MAX_STATES if max_states is None else max_states
     shapes = _bounded_shapes(j, k)
@@ -350,33 +229,46 @@ def build_general(family: str, j: int, k: int, r: int, max_states: Optional[int]
         total = sum(c * c for c in sizes)
     if total > cap:
         raise CapExceeded(
-            "general builder would need %d states (cap %d); raise the cap to "
-            "proceed" % (total, cap)
+            "graph would need %d states (cap %d); raise the cap to proceed"
+            % (total, cap)
         )
     if family == "setpartition":
-        states = sorted(_tuples(shapes, r), key=lambda st: (_boxes(st), st))
+        states = list(_tuples(shapes, r))
     else:
         by_total: dict[int, list] = {}
         for t in _tuples(shapes, r):
             by_total.setdefault(_boxes(t), []).append(t)
-        states = sorted(
-            ((u, low) for group in by_total.values() for u in group for low in group),
-            key=lambda st: (_boxes(st[0]), st),
-        )
+        states = [(u, low) for group in by_total.values() for u in group for low in group]
+    labelled = j == k == 2
+
+    def order(st):
+        size = _boxes(st if family == "setpartition" else st[0])
+        return size, (_open_sets(family, st) if labelled else st)
+
+    states.sort(key=order)
+    if labelled:  # name states by their sets of open colours
+        names = tuple("|".join(map(_set_name, _open_sets(family, st))) for st in states)
+    else:
+        names = tuple(_state_name(family, st) for st in states)
     moves = _MOVES[family]
     index = {s: i for i, s in enumerate(states)}
     m = [[0] * len(states) for _ in states]
-    for row, st in zip(m, states):
-        for t in moves(st, j, k):
-            row[index[t]] += 1
+    labels: dict[tuple[int, int], list[str]] = {}
+    for i, (row, st) in enumerate(zip(m, states)):
+        for t, label in moves(st, j, k):
+            dest = index[t]
+            row[dest] += 1
+            if labelled and dest >= i:  # the graph is symmetric
+                labels.setdefault((i, dest), []).append(label)
     return Multigraph(
         family=family,
         j=j,
         k=k,
         colours=r,
-        states=tuple(_state_name(family, st) for st in states),
+        states=names,
         matrix=tuple(tuple(row) for row in m),
-        builder="general",
+        builder="dedicated" if labelled else "general",
+        edge_labels={key: tuple(val) for key, val in labels.items()} if labelled else None,
     )
 
 
@@ -405,7 +297,7 @@ def build_quotient(family: str, j: int, k: int, r: int, max_states: Optional[int
     rows: list[dict[int, int]] = []
     for rep in reps:  # reps grows while it is scanned
         row: dict[int, int] = {}
-        for t in moves(rep, j, k):
+        for t, _ in moves(rep, j, k):
             t = _canonical(family, t)
             dest = index.get(t)
             if dest is None:
@@ -438,63 +330,80 @@ def _put(shapes, c, shape):
 
 
 def _setpartition_moves(st, j, k):
-    """Targets of the gap moves from shape tuple `st`, one per edge."""
-    yield st  # gap with no arc
+    """(target, label) for each gap move from shape tuple `st`, one per
+    edge.  The label is the classic one at j = k = 2 and None otherwise."""
+    grow, shrink = _corners(j, k)
+    labelled = j == k == 2
+    yield st, "x" if labelled else None  # gap with no arc
     for c, lam in enumerate(st):
-        for a in _addable(lam, j, k):
-            grown = _grow(lam, a)
-            yield _put(st, c, grown)  # plain opener
+        label = str(c + 1) if labelled else None
+        for grown in grow[lam]:
+            opened = _put(st, c, grown)
+            yield opened, label  # plain opener
             # same-colour open-then-close across the gap
-            for b in _removable(grown):
-                yield _put(st, c, _shrink(grown, b))
+            for back in shrink[grown]:
+                yield _put(st, c, back), label
             # open c, close another colour
             for c2, other in enumerate(st):
-                if c2 == c:
-                    continue
-                for b in _removable(other):
-                    yield _put(_put(st, c, grown), c2, _shrink(other, b))
-        for b in _removable(lam):
-            yield _put(st, c, _shrink(lam, b))
+                if c2 != c:
+                    for back in shrink[other]:
+                        yield _put(opened, c2, back), _pair_label("", c, c2, labelled)
+        for back in shrink[lam]:
+            yield _put(st, c, back), label
 
 
 def _permutation_moves(state, j, k):
-    """Targets of the vertex moves from (upper, lower) shape tuples, one
-    per edge."""
+    """(target, label) for each vertex move from (upper, lower) shape
+    tuples, one per edge; labels as for `_setpartition_moves`.  All upper
+    composites come before any lower one, the classic self-loop order."""
+    grow, shrink = _corners(j, k)
+    labelled = j == k == 2
     u, low = state
     r = len(u)
+    u_grow = [grow[s] for s in u]
+    u_shrink = [shrink[s] for s in u]
+    low_grow = [grow[s] for s in low]
+    low_shrink = [shrink[s] for s in low]
+    # upper composite: insert, then delete from the grown shape
     for c in range(r):
-        # upper composite: insert, then delete from the grown shape
-        for a in _addable(u[c], j, k):
-            grown = _grow(u[c], a)
-            for b in _removable(grown):
-                yield (_put(u, c, _shrink(grown, b)), low)
-        # lower composite: delete, then re-insert
-        for b in _removable(low[c]):
-            shrunk = _shrink(low[c], b)
-            for a in _addable(shrunk, j, k):
-                yield (u, _put(low, c, _grow(shrunk, a)))
-        # cross-colour transitories
-        for c2 in range(r):
-            if c2 == c:
-                continue
-            for a in _addable(u[c], j, k):
-                for b in _removable(u[c2]):
-                    yield (_put(_put(u, c, _grow(u[c], a)), c2, _shrink(u[c2], b)), low)
-            for a in _addable(low[c], j, k):
-                for b in _removable(low[c2]):
-                    yield (u, _put(_put(low, c, _grow(low[c], a)), c2, _shrink(low[c2], b)))
-    # openers: one upper and one lower corner
-    for cu in range(r):
-        for a in _addable(u[cu], j, k):
-            for cl in range(r):
-                for b in _addable(low[cl], j, k):
-                    yield (_put(u, cu, _grow(u[cu], a)), _put(low, cl, _grow(low[cl], b)))
-    # closers
-    for cu in range(r):
-        for a in _removable(u[cu]):
-            for cl in range(r):
-                for b in _removable(low[cl]):
-                    yield (_put(u, cu, _shrink(u[cu], a)), _put(low, cl, _shrink(low[cl], b)))
+        for grown in u_grow[c]:
+            for back in shrink[grown]:
+                yield (_put(u, c, back), low), str(c + 1) if labelled else None
+    # lower composite: delete, then re-insert
+    for c in range(r):
+        for shrunk in low_shrink[c]:
+            for back in grow[shrunk]:
+                yield (u, _put(low, c, back)), "%dt" % (c + 1) if labelled else None
+    # cross-colour transitories
+    for c in range(r):
+        for a in u_grow[c]:
+            grown = _put(u, c, a)
+            for c2 in range(r):
+                if c2 != c:
+                    for b in u_shrink[c2]:
+                        yield (_put(grown, c2, b), low), _pair_label("u", c, c2, labelled)
+        for a in low_grow[c]:
+            grown = _put(low, c, a)
+            for c2 in range(r):
+                if c2 != c:
+                    for b in low_shrink[c2]:
+                        yield (u, _put(grown, c2, b)), _pair_label("o", c, c2, labelled)
+    # openers and closers: one upper and one lower corner
+    for upper, lower in ((u_grow, low_grow), (u_shrink, low_shrink)):
+        for cu in range(r):
+            for a in upper[cu]:
+                new_u = _put(u, cu, a)
+                for cl in range(r):
+                    for b in lower[cl]:
+                        label = "%d%d" % (cu + 1, cl + 1) if labelled else None
+                        yield (new_u, _put(low, cl, b)), label
+
+
+def _pair_label(prefix: str, c: int, c2: int, labelled: bool) -> Optional[str]:
+    """A label naming two 0-based colours, 1-based and in increasing order."""
+    if not labelled:
+        return None
+    return "%s%d%d" % (prefix, min(c, c2) + 1, max(c, c2) + 1)
 
 
 _MOVES = {"setpartition": _setpartition_moves, "permutation": _permutation_moves}
@@ -514,6 +423,12 @@ def _canonical(family: str, st):
     """The orbit representative: per-colour parts in sorted order."""
     parts = sorted(_components(family, st))
     return tuple(parts) if family == "setpartition" else tuple(zip(*parts))
+
+
+def _open_sets(family: str, st) -> tuple:
+    """The open colours, 1-based, of each shape tuple of a j = k = 2 state."""
+    halves = (st,) if family == "setpartition" else st
+    return tuple(tuple(c for c, s in enumerate(half, 1) if s) for half in halves)
 
 
 def _state_name(family: str, st) -> str:

@@ -29,6 +29,7 @@ coloured set partition uses the plain statistic on its upper diagram.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -281,8 +282,19 @@ class ColouredSetPartition:
         if block_part:
             if not (block_part.startswith("{") and block_part.endswith("}")):
                 raise ValueError("set partition text must be {..},{..} blocks")
-            for chunk in block_part[1:-1].split("},{"):
-                blocks.append([int(tok) for tok in chunk.split(",")])
+            inner = block_part[1:-1]
+            chunks = inner.split("},{")
+            if len(chunks) <= inner.count("}"):  # a separator holds whitespace
+                chunks = re.split(r"\}\s*,\s*\{", inner)
+            for chunk in chunks:
+                try:
+                    blocks.append([int(tok) for tok in chunk.split(",")])
+                except ValueError:
+                    if not chunk.strip():
+                        raise ValueError("empty block {} in set partition text") from None
+                    raise ValueError(
+                        "block {%s} must list vertices separated by commas" % chunk.strip()
+                    ) from None
         return cls(blocks, colours)
 
     def to_text(self) -> str:
@@ -302,17 +314,10 @@ class ColouredSetPartition:
         }
 
 
-def diagram_from_json_dict(d: dict):
-    """Inverse of the ``to_json_dict`` methods."""
-    if d.get("family") == "permutation":
-        return ColouredPermutation(d["word"], d["colours"])
-    if d.get("family") == "setpartition":
-        return ColouredSetPartition(d["blocks"], d["arc_colours"])
-    raise ValueError("unknown diagram family: %r" % (d.get("family"),))
-
-
 def parse_diagram(text: str):
     """Parse either text format, deciding by the presence of block braces."""
+    if not text or text.isspace():
+        raise ValueError("empty diagram text")
     if "{" in text:
         return ColouredSetPartition.from_text(text)
     return ColouredPermutation.from_text(text)
@@ -360,32 +365,6 @@ def closers(p) -> frozenset[int]:
     return frozenset(
         i for i in range(1, len(p) + 1) if vertex_kind(p, i) is VertexKind.CLOSER
     )
-
-
-def upper_openers(p) -> frozenset[int]:
-    """Vertices starting an upper arc (loops count)."""
-    if isinstance(p, ColouredPermutation):
-        p = p.perm
-    return frozenset(i for i in range(1, len(p) + 1) if p.image(i) >= i)
-
-
-def upper_closers(p) -> frozenset[int]:
-    if isinstance(p, ColouredPermutation):
-        p = p.perm
-    return frozenset(i for i in range(1, len(p) + 1) if p.preimage(i) >= i)
-
-
-def lower_openers(p) -> frozenset[int]:
-    """Vertices starting a lower arc, i.e. left endpoints below the line."""
-    if isinstance(p, ColouredPermutation):
-        p = p.perm
-    return frozenset(i for i in range(1, len(p) + 1) if p.preimage(i) > i)
-
-
-def lower_closers(p) -> frozenset[int]:
-    if isinstance(p, ColouredPermutation):
-        p = p.perm
-    return frozenset(i for i in range(1, len(p) + 1) if p.image(i) < i)
 
 
 def arc_start_vertices(arcs) -> frozenset[int]:

@@ -21,6 +21,7 @@ checked.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from itertools import permutations as _lex_permutations
 from itertools import product
@@ -175,13 +176,19 @@ def _enumerate_unguarded(spec: EnumSpec, first: Optional[int]) -> Iterator:
 def count(spec: EnumSpec, threads: int = 1) -> int:
     """Number of admissible objects; may fan permutations out to workers."""
     _check_cap(spec)
-    if threads > 1 and spec.family == "permutation" and spec.n > 1:
-        with Pool(processes=threads) as pool:
+    workers = _worker_count(threads, spec.n)
+    if workers > 1 and spec.family == "permutation":
+        with Pool(processes=workers) as pool:
             chunks = pool.map(
                 _count_chunk, [(spec, v) for v in range(1, spec.n + 1)]
             )
         return sum(chunks)
     return sum(1 for _ in _enumerate_unguarded(spec, first=None))
+
+
+def _worker_count(threads: int, n: int) -> int:
+    """Workers for `count`: one chunk per first letter, one worker per CPU."""
+    return max(1, min(threads, n, os.cpu_count() or 1))
 
 
 def _count_chunk(args) -> int:

@@ -94,17 +94,6 @@ def test_general_shape_states():
     assert g.is_symmetric()
 
 
-def test_general_agrees_with_dedicated():
-    for family, dedicated in (
-        ("setpartition", build_setpartition_22),
-        ("permutation", build_permutation_22),
-    ):
-        for r in (1, 2, 3):
-            a = gf_from_graph(dedicated(r))
-            b = gf_from_graph(build_general(family, 2, 2, r))
-            assert a == b, (family, r)
-
-
 @pytest.mark.parametrize(
     "family,j,k,r",
     [

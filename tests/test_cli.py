@@ -127,14 +127,6 @@ def test_gf_json_schema(capsys):
     assert payload["denominator_factors"]["slopes"] == [2, 6, 12]
 
 
-def test_gf_general_flag(capsys):
-    code, out, _ = run_cli(
-        capsys, "gf", "--family", "setpartition", "--colours", "2", "--general"
-    )
-    assert code == 0
-    assert "denominator: 1 - 7*x + 11*x^2 - x^3" in out
-
-
 def test_gf_other_bounds(capsys):
     code, out, _ = run_cli(
         capsys, "gf", "--family", "setpartition", "--j", "3", "--k", "3"
@@ -275,6 +267,30 @@ def test_bijection_partition_trace(capsys):
     assert payload["trace"][0]["diagram"]["kind"] == "vacillating"
 
 
+def test_bijection_accepts_whitespace_between_blocks(capsys):
+    spaced = run_cli(capsys, "bijection", "--input", "{1,4} , {2,6},\t{3,5}")
+    plain = run_cli(capsys, "bijection", "--input", "{1,4},{2,6},{3,5}")
+    assert spaced[0] == 0
+    assert spaced == plain
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("{}", "empty block {} in set partition text"),
+        ("{1,2},{ }", "empty block {} in set partition text"),
+        ("{1 2}", "block {1 2} must list vertices separated by commas"),
+        ("", "empty diagram text"),
+        ("  ", "empty diagram text"),
+    ],
+)
+def test_bijection_rejects_bad_input(capsys, text, message):
+    code, out, err = run_cli(capsys, "bijection", "--input", text)
+    assert code == 1
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
 # --- selftest ---------------------------------------------------------------
 
 
@@ -321,6 +337,12 @@ def test_usage_error_is_exit_one(capsys):
     code, _, err = run_cli(capsys, "count", "--family", "permutation")
     assert code == 1
     assert "--n" in err
+
+
+def test_general_flag_is_gone(capsys):
+    code, _, err = run_cli(capsys, "graph", "--family", "setpartition", "--general")
+    assert code == 1
+    assert "--general" in err
 
 
 def test_unknown_family_is_exit_one(capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossnest.diagrams import cr_ne, is_ncn
+from crossnest import oracle
 from crossnest.errors import CapExceeded
 from crossnest.oracle import (
     EnumSpec,
@@ -113,6 +114,24 @@ def test_refined_count_requires_both_sets():
 def test_threads_agree_with_single_process():
     spec = EnumSpec("permutation", 5, colours=1, j=2, k=2)
     assert count(spec, threads=2) == count(spec, threads=1)
+
+
+@pytest.mark.parametrize(
+    "threads,n,cpus,workers",
+    [
+        (1, 7, 8, 1),
+        (4, 7, 8, 4),
+        (10_000, 7, 8, 7),  # one chunk per first letter
+        (10_000, 9, 2, 2),  # one worker per CPU
+        (10_000, 9, None, 1),  # CPU count unknown
+        (0, 5, 4, 1),
+        (-3, 5, 4, 1),
+        (3, 0, 4, 1),
+    ],
+)
+def test_worker_count_is_clamped(monkeypatch, threads, n, cpus, workers):
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+    assert oracle._worker_count(threads, n) == workers
 
 
 def test_joint_histogram_is_symmetric_on_the_full_space():
