@@ -195,6 +195,10 @@ class ColouredPermutation:
         }
 
 
+# the separator between blocks in set partition text: "},{" with optional spaces
+_BLOCK_SEP = re.compile(r"\}\s*,\s*\{")
+
+
 class ColouredSetPartition:
     """A set partition of [n] with a colour for each consecutive-pair arc.
 
@@ -283,10 +287,7 @@ class ColouredSetPartition:
             if not (block_part.startswith("{") and block_part.endswith("}")):
                 raise ValueError("set partition text must be {..},{..} blocks")
             inner = block_part[1:-1]
-            chunks = inner.split("},{")
-            if len(chunks) <= inner.count("}"):  # a separator holds whitespace
-                chunks = re.split(r"\}\s*,\s*\{", inner)
-            for chunk in chunks:
+            for chunk in _BLOCK_SEP.split(inner):
                 try:
                     blocks.append([int(tok) for tok in chunk.split(",")])
                 except ValueError:
