@@ -245,26 +245,18 @@ def cmd_graph(args) -> int:
 
 
 def _trace_entries(obj) -> list[dict]:
+    n = len(obj)
+    walks = [
+        (tableaux.encode_hesitating if enhanced else tableaux.encode_vacillating)(
+            pairs, n
+        ).to_json_dict()
+        for pairs, enhanced in diagrams.colour_slices(obj)
+    ]
     if isinstance(obj, diagrams.ColouredSetPartition):
-        per: dict[int, list[tuple[int, int]]] = {
-            c: [] for c in range(1, obj.num_colours + 1)
-        }
-        for arc in obj.arcs():
-            per[arc.colour].append(arc.pair)
-        return [
-            {
-                "colour": c,
-                "diagram": tableaux.encode_vacillating(pairs, len(obj)).to_json_dict(),
-            }
-            for c, pairs in sorted(per.items())
-        ]
+        return [{"colour": c, "diagram": w} for c, w in enumerate(walks, start=1)]
     return [
-        {
-            "colour": s.colour,
-            "upper": tableaux.encode_hesitating(s.upper, s.n).to_json_dict(),
-            "lower": tableaux.encode_vacillating(s.lower, s.n).to_json_dict(),
-        }
-        for s in involution.slice_by_colour(obj)
+        {"colour": c, "upper": upper, "lower": lower}
+        for c, (upper, lower) in enumerate(zip(walks[0::2], walks[1::2]), start=1)
     ]
 
 

@@ -72,6 +72,25 @@ class Arc:
         return self.left == self.right
 
 
+def _integers(text: str, what: str) -> list[int]:
+    """The whitespace-separated integers of `text`, naming a bad token."""
+    values = []
+    for tok in text.split():
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ValueError("%s %r is not an integer" % (what, tok)) from None
+    return values
+
+
+def _split_colours(text: str) -> tuple[str, list[int] | None]:
+    """Split diagram text into its body and colours (None without a "/")."""
+    body, slash, colour_part = text.partition("/")
+    if "/" in colour_part:
+        raise ValueError("diagram text may contain only one '/'")
+    return body, (_integers(colour_part, "colour") if slash else None)
+
+
 class Permutation:
     """A permutation of [n], stored in one-line notation.
 
@@ -113,7 +132,7 @@ class Permutation:
 
     @classmethod
     def from_text(cls, text: str) -> "Permutation":
-        return cls(int(tok) for tok in text.split())
+        return cls(_integers(text, "word entry"))
 
     def to_text(self) -> str:
         return " ".join(str(v) for v in self.word)
@@ -174,12 +193,8 @@ class ColouredPermutation:
 
     @classmethod
     def from_text(cls, text: str) -> "ColouredPermutation":
-        if "/" in text:
-            word_part, colour_part = text.split("/")
-            word = [int(tok) for tok in word_part.split()]
-            colours = [int(tok) for tok in colour_part.split()]
-            return cls(word, colours)
-        return cls([int(tok) for tok in text.split()])
+        word_part, colours = _split_colours(text)
+        return cls(_integers(word_part, "word entry"), colours)
 
     def to_text(self) -> str:
         word = " ".join(str(v) for v in self.word)
@@ -276,11 +291,7 @@ class ColouredSetPartition:
 
     @classmethod
     def from_text(cls, text: str) -> "ColouredSetPartition":
-        if "/" in text:
-            block_part, colour_part = text.split("/")
-            colours = [int(tok) for tok in colour_part.split()]
-        else:
-            block_part, colours = text, None
+        block_part, colours = _split_colours(text)
         block_part = block_part.strip()
         blocks = []
         if block_part:
@@ -288,14 +299,13 @@ class ColouredSetPartition:
                 raise ValueError("set partition text must be {..},{..} blocks")
             inner = block_part[1:-1]
             for chunk in _BLOCK_SEP.split(inner):
-                try:
-                    blocks.append([int(tok) for tok in chunk.split(",")])
-                except ValueError:
-                    if not chunk.strip():
-                        raise ValueError("empty block {} in set partition text") from None
+                if not chunk.strip():
+                    raise ValueError("empty block {} in set partition text")
+                if any(len(tok.split()) != 1 for tok in chunk.split(",")):
                     raise ValueError(
                         "block {%s} must list vertices separated by commas" % chunk.strip()
-                    ) from None
+                    )
+                blocks.append(_integers(chunk.replace(",", " "), "vertex"))
         return cls(blocks, colours)
 
     def to_text(self) -> str:
@@ -388,15 +398,11 @@ def arcs_of(obj) -> tuple[tuple[Arc, ...], tuple[Arc, ...]]:
     """
     if isinstance(obj, ColouredSetPartition):
         return obj.arcs(), ()
-    if isinstance(obj, Permutation):
-        obj = ColouredPermutation(obj)
-    upper, lower = [], []
-    for i, out in enumerate(obj.word, start=1):
-        colour = obj.colours[i - 1]
-        if out >= i:
-            upper.append(Arc(i, out, "upper", colour))
-        else:
-            lower.append(Arc(out, i, "lower", colour))
+    upper: list[Arc] = []
+    lower: list[Arc] = []
+    for i, (pairs, enhanced) in enumerate(colour_slices(obj)):
+        side, arcs = ("upper", upper) if enhanced else ("lower", lower)
+        arcs.extend(Arc(a, b, side, i // 2 + 1) for a, b in pairs)
     upper.sort(key=lambda a: a.pair)
     lower.sort(key=lambda a: a.pair)
     return tuple(upper), tuple(lower)
@@ -553,8 +559,15 @@ def _is_nesting(sub) -> bool:
     return all(x > y for x, y in zip(rights, rights[1:]))
 
 
-def _colour_slices(obj) -> list[tuple[list[tuple[int, int]], bool]]:
-    """Per-colour diagrams as (pairs, enhanced) entries, in colour order."""
+def colour_slices(obj) -> list[tuple[list[tuple[int, int]], bool]]:
+    """Per-colour diagrams as (pairs, enhanced) entries, in colour order:
+    a permutation's enhanced upper and plain lower diagram for each colour,
+    or a set partition's plain diagram for each colour.  Lower pairs come
+    in order of right endpoint, the others of left endpoint.
+
+    >>> colour_slices(ColouredPermutation.from_text("2 1 3 / 1 1 2"))
+    [([(1, 2)], True), ([(1, 2)], False), ([(3, 3)], True), ([], False)]
+    """
     if isinstance(obj, (Permutation, ColouredPermutation)):
         if isinstance(obj, Permutation):
             obj = ColouredPermutation(obj)
@@ -588,7 +601,7 @@ def cr(obj) -> int:
     1
     """
     return max(
-        (max_crossing(pairs, enhanced) for pairs, enhanced in _colour_slices(obj)),
+        (max_crossing(pairs, enhanced) for pairs, enhanced in colour_slices(obj)),
         default=0,
     )
 
@@ -600,14 +613,14 @@ def ne(obj) -> int:
     2
     """
     return max(
-        (max_nesting(pairs, enhanced) for pairs, enhanced in _colour_slices(obj)),
+        (max_nesting(pairs, enhanced) for pairs, enhanced in colour_slices(obj)),
         default=0,
     )
 
 
 def cr_ne(obj) -> tuple[int, int]:
     """Both statistics in one slicing pass."""
-    slices = _colour_slices(obj)
+    slices = colour_slices(obj)
     c = max((max_crossing(p, e) for p, e in slices), default=0)
     n = max((max_nesting(p, e) for p, e in slices), default=0)
     return (c, n)
@@ -623,7 +636,7 @@ def is_ncn(obj, j: int, k: int) -> bool:
     """
     if j < 2 or k < 2:
         raise ValueError("bounds j, k must be at least 2")
-    for pairs, enhanced in _colour_slices(obj):
+    for pairs, enhanced in colour_slices(obj):
         if max_crossing(pairs, enhanced) >= j:
             return False
         if max_nesting(pairs, enhanced) >= k:

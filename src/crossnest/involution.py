@@ -21,7 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import ColouredPermutation, ColouredSetPartition, Permutation
+from .diagrams import (
+    ColouredPermutation,
+    ColouredSetPartition,
+    Permutation,
+    colour_slices,
+)
 from .errors import ConsistencyError
 from .tableaux import (
     decode,
@@ -48,22 +53,12 @@ def slice_by_colour(cp: ColouredPermutation) -> tuple[ColourClassSlice, ...]:
     >>> slice_by_colour(cp)[0]
     ColourClassSlice(colour=1, n=6, upper=((1, 4), (3, 3)), lower=())
     """
-    if isinstance(cp, Permutation):
-        cp = ColouredPermutation(cp)
-    n = len(cp)
-    upper: list[list[tuple[int, int]]] = [[] for _ in range(cp.num_colours)]
-    lower: list[list[tuple[int, int]]] = [[] for _ in range(cp.num_colours)]
-    for i, out in enumerate(cp.word, start=1):
-        c = cp.colours[i - 1] - 1
-        if out >= i:
-            upper[c].append((i, out))
-        else:
-            lower[c].append((out, i))
+    slices = colour_slices(cp)
     return tuple(
-        ColourClassSlice(
-            c + 1, n, tuple(sorted(upper[c])), tuple(sorted(lower[c]))
+        ColourClassSlice(c, len(cp), tuple(sorted(upper)), tuple(sorted(lower)))
+        for c, ((upper, _), (lower, _)) in enumerate(
+            zip(slices[0::2], slices[1::2]), start=1
         )
-        for c in range(cp.num_colours)
     )
 
 
@@ -79,22 +74,15 @@ def _recombine(n: int, slices) -> ColouredPermutation:
     colours = [0] * n
     incoming = [0] * n
     for s in slices:
-        for a, b in s.upper:
-            if word[a - 1]:
-                raise ConsistencyError("vertex %d starts two arcs" % a)
-            word[a - 1] = b
-            colours[a - 1] = s.colour
-            if incoming[b - 1]:
-                raise ConsistencyError("vertex %d ends two arcs" % b)
-            incoming[b - 1] = a
-        for a, b in s.lower:
-            if word[b - 1]:
-                raise ConsistencyError("vertex %d starts two arcs" % b)
-            word[b - 1] = a
-            colours[b - 1] = s.colour
-            if incoming[a - 1]:
-                raise ConsistencyError("vertex %d ends two arcs" % a)
-            incoming[a - 1] = b
+        # an upper arc (a, b) sends a to b, a lower one sends b to a
+        for src, dst in s.upper + tuple((b, a) for a, b in s.lower):
+            if word[src - 1]:
+                raise ConsistencyError("vertex %d starts two arcs" % src)
+            word[src - 1] = dst
+            colours[src - 1] = s.colour
+            if incoming[dst - 1]:
+                raise ConsistencyError("vertex %d ends two arcs" % dst)
+            incoming[dst - 1] = src
     if 0 in word or 0 in incoming:
         raise ConsistencyError("image arcs leave a vertex untouched")
     try:
@@ -111,11 +99,8 @@ def _involute_permutation(cp: ColouredPermutation) -> ColouredPermutation:
 
 def _involute_set_partition(sp: ColouredSetPartition) -> ColouredSetPartition:
     n = len(sp)
-    per: list[list[tuple[int, int]]] = [[] for _ in range(sp.num_colours)]
-    for (a, b), c in zip(sp._pairs(), sp.arc_colours):
-        per[c - 1].append((a, b))
     image: list[tuple[tuple[int, int], int]] = []
-    for c, pairs in enumerate(per, start=1):
+    for c, (pairs, _) in enumerate(colour_slices(sp), start=1):
         for arc in decode(transpose_sequence(encode_vacillating(pairs, n))):
             image.append((arc, c))
     image.sort()

@@ -36,7 +36,6 @@ from .diagrams import (
     arc_start_vertices,
     closers,
     cr_ne,
-    is_ncn,
     openers,
 )
 from .errors import CapExceeded

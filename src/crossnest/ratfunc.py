@@ -190,7 +190,8 @@ def _prem(a: IntPoly, b: IntPoly) -> IntPoly:
         r = [lb * c for c in r]
         for i, bc in enumerate(b.coeffs):
             r[e - db + i] -= top * bc
-        assert r[e] == 0
+        if r[e]:
+            raise ConsistencyError("pseudo-remainder left a leading term")
     return IntPoly(r[:db])
 
 

@@ -18,9 +18,6 @@ the diagram kind:
   insert and immediately remove its own label — shapes may grow at odd
   steps and shrink at even steps.
 
-An oscillating flavour (every step adds or removes exactly one box) is
-recognised by the validator but has no encoder here.
-
 Insertion is ordinary row bumping.  Deletion removes the minimal label from
 the top-left corner and closes the hole by jeu de taquin.  Both are
 reversible from the shape difference alone, which is what `decode` uses:
@@ -34,6 +31,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
+from .errors import ConsistencyError
+
 
 Shape = tuple[int, ...]
 Rows = tuple[tuple[int, ...], ...]
@@ -41,7 +40,6 @@ Rows = tuple[tuple[int, ...], ...]
 
 class TableauKind(Enum):
     SEMI_OSCILLATING = "semioscillating"
-    OSCILLATING = "oscillating"
     VACILLATING = "vacillating"
     HESITATING = "hesitating"
 
@@ -66,6 +64,18 @@ def conjugate(shape: Shape) -> Shape:
     return tuple(
         sum(1 for p in shape if p > col) for col in range(shape[0])
     )
+
+
+# The half-steps of one vertex, per flavour, which drive the encoding walk,
+# the validator and the decoder alike: "close" deletes the vertex's own
+# label if an arc ends there, "open" inserts the partner's label if an arc
+# starts there, and "either" does whichever applies (a vertex of a matching
+# never needs both).
+_HALF_STEPS = {
+    TableauKind.SEMI_OSCILLATING: ("either",),
+    TableauKind.VACILLATING: ("close", "open"),
+    TableauKind.HESITATING: ("open", "close"),
+}
 
 
 class PartialTableau:
@@ -164,7 +174,8 @@ def _delete_min_rows(rows: list[list[int]]) -> tuple[int, int]:
 def _uninsert_rows(rows: list[list[int]], cell: tuple[int, int]) -> int:
     """Undo an insertion that created `cell`; return the inserted label."""
     r, c = cell
-    assert c == len(rows[r]) - 1, "can only uninsert from a row end"
+    if c != len(rows[r]) - 1:
+        raise ConsistencyError("can only uninsert from a row end")
     x = rows[r].pop()
     if not rows[r]:
         rows.pop()
@@ -172,7 +183,8 @@ def _uninsert_rows(rows: list[list[int]], cell: tuple[int, int]) -> int:
         r -= 1
         row = rows[r]
         pos = bisect_right(row, x) - 1  # largest entry below x
-        assert pos >= 0, "reverse bump found no smaller entry"
+        if pos < 0:
+            raise ConsistencyError("reverse bump found no smaller entry")
         x, row[pos] = row[pos], x
     return x
 
@@ -182,7 +194,8 @@ def _undelete_rows(rows: list[list[int]], cell: tuple[int, int], label: int) -> 
     r, c = cell
     if r == len(rows):
         rows.append([])
-    assert c == len(rows[r]), "cell is not addable"
+    if c != len(rows[r]):
+        raise ConsistencyError("cell is not addable")
     rows[r].append(0)  # hole
     while (r, c) != (0, 0):
         above = rows[r - 1][c] if r > 0 else None
@@ -193,9 +206,8 @@ def _undelete_rows(rows: list[list[int]], cell: tuple[int, int], label: int) -> 
         else:
             rows[r][c] = above
             r -= 1
-    assert all(label < x for row in rows for x in row if x), (
-        "re-inserted label must be the minimum"
-    )
+    if any(x <= label for row in rows for x in row if x):
+        raise ConsistencyError("re-inserted label must be the minimum")
     rows[0][0] = label
 
 
@@ -292,7 +304,8 @@ def validate_sequence(seq: TableauSequence) -> None:
     shapes = seq.shapes
     if seq.n < 0:
         raise ValueError("n must be nonnegative")
-    per_vertex = 1 if seq.kind in (TableauKind.SEMI_OSCILLATING, TableauKind.OSCILLATING) else 2
+    steps = _HALF_STEPS[seq.kind]
+    per_vertex = len(steps)
     if len(shapes) != per_vertex * seq.n + 1:
         raise ValueError(
             "expected %d shapes for %s on %d vertices, got %d"
@@ -305,18 +318,11 @@ def validate_sequence(seq: TableauSequence) -> None:
         raise ValueError("sequences must start and end empty")
     for i in range(1, len(shapes)):
         tag, _ = _shape_step(shapes[i - 1], shapes[i])
-        if seq.kind is TableauKind.OSCILLATING and tag == "same":
-            raise ValueError("oscillating steps must add or remove a box (step %d)" % i)
-        elif seq.kind is TableauKind.VACILLATING:
-            if i % 2 == 1 and tag == "add":
-                raise ValueError("vacillating shapes may not grow at odd step %d" % i)
-            if i % 2 == 0 and tag == "remove":
-                raise ValueError("vacillating shapes may not shrink at even step %d" % i)
-        elif seq.kind is TableauKind.HESITATING:
-            if i % 2 == 1 and tag == "remove":
-                raise ValueError("hesitating shapes may not shrink at odd step %d" % i)
-            if i % 2 == 0 and tag == "add":
-                raise ValueError("hesitating shapes may not grow at even step %d" % i)
+        if (steps[(i - 1) % per_vertex], tag) in (("close", "add"), ("open", "remove")):
+            change, parity = "grow" if tag == "add" else "shrink", "odd" if i % 2 else "even"
+            raise ValueError(
+                "%s shapes may not %s at %s step %d" % (seq.kind.value, change, parity, i)
+            )
     if seq.fillings is not None:
         if len(seq.fillings) != len(shapes):
             raise ValueError("need one filling per shape")
@@ -344,6 +350,30 @@ def _check_arcs(pairs, n, allow_loops: bool):
     return cleaned
 
 
+def _walk(kind: TableauKind, arcs, n: int) -> TableauSequence:
+    """Walk checked arcs over vertices 1..n, recording the shape and the
+    filling after every half-step that `_HALF_STEPS` gives `kind`."""
+    steps = _HALF_STEPS[kind]
+    opens = {a: b for a, b in arcs}
+    closes = {b for _, b in arcs}
+    rows: list[list[int]] = []
+    shapes = [()]
+    fills: list[Rows] = [()]
+    for v in range(1, n + 1):
+        for step in steps:
+            if step != "open" and v in closes:
+                if not rows or rows[0][0] != v:
+                    raise ValueError("arc endpoints out of order at vertex %d" % v)
+                _delete_min_rows(rows)
+            elif step != "close" and v in opens:
+                _insert_rows(rows, opens[v])
+            shapes.append(tuple(len(r) for r in rows))
+            fills.append(tuple(tuple(r) for r in rows))
+    if rows:
+        raise ConsistencyError("the %s walk must end empty" % kind.value)
+    return TableauSequence(kind, n, tuple(shapes), tuple(fills))
+
+
 def encode_vacillating(pairs, n: int) -> TableauSequence:
     """Encode a loop-free arc list: delete at the first half-step of a
     vertex that closes an arc, insert at the second half-step of one that
@@ -353,30 +383,7 @@ def encode_vacillating(pairs, n: int) -> TableauSequence:
     >>> seq.shapes[2], seq.shapes[8]
     ((1,), (1, 1))
     """
-    arcs = _check_arcs(pairs, n, allow_loops=False)
-    if any(a == b for a, b in arcs):
-        raise ValueError("loops are not allowed here")
-    opens = {a: b for a, b in arcs}
-    closes = {b: a for a, b in arcs}
-    rows: list[list[int]] = []
-    shapes = [()]
-    fills: list[Rows] = [()]
-
-    def snap():
-        shapes.append(tuple(len(r) for r in rows))
-        fills.append(tuple(tuple(r) for r in rows))
-
-    for v in range(1, n + 1):
-        if v in closes:
-            if not rows or rows[0][0] != v:
-                raise ValueError("arc endpoints out of order at vertex %d" % v)
-            _delete_min_rows(rows)
-        snap()
-        if v in opens:
-            _insert_rows(rows, opens[v])
-        snap()
-    assert not rows
-    return TableauSequence(TableauKind.VACILLATING, n, tuple(shapes), tuple(fills))
+    return _walk(TableauKind.VACILLATING, _check_arcs(pairs, n, allow_loops=False), n)
 
 
 def encode_hesitating(pairs, n: int) -> TableauSequence:
@@ -388,28 +395,7 @@ def encode_hesitating(pairs, n: int) -> TableauSequence:
     >>> seq.shapes[5], seq.shapes[7]
     ((2, 1), (3,))
     """
-    arcs = _check_arcs(pairs, n, allow_loops=True)
-    opens = {a: b for a, b in arcs}
-    closes = {b: a for a, b in arcs}
-    rows: list[list[int]] = []
-    shapes = [()]
-    fills: list[Rows] = [()]
-
-    def snap():
-        shapes.append(tuple(len(r) for r in rows))
-        fills.append(tuple(tuple(r) for r in rows))
-
-    for v in range(1, n + 1):
-        if v in opens:
-            _insert_rows(rows, opens[v])
-        snap()
-        if v in closes:
-            if not rows or rows[0][0] != v:
-                raise ValueError("arc endpoints out of order at vertex %d" % v)
-            _delete_min_rows(rows)
-        snap()
-    assert not rows
-    return TableauSequence(TableauKind.HESITATING, n, tuple(shapes), tuple(fills))
+    return _walk(TableauKind.HESITATING, _check_arcs(pairs, n, allow_loops=True), n)
 
 
 def encode_semioscillating(pairs, n: int) -> TableauSequence:
@@ -420,29 +406,9 @@ def encode_semioscillating(pairs, n: int) -> TableauSequence:
     ((), (1,), (1,), (2,), (2, 1), (2,), (1,), ())
     """
     arcs = _check_arcs(pairs, n, allow_loops=False)
-    touched: set[int] = set()
-    for a, b in arcs:
-        if a in touched or b in touched:
-            raise ValueError("matching arcs must be vertex-disjoint")
-        touched |= {a, b}
-    opens = {a: b for a, b in arcs}
-    closes = {b: a for a, b in arcs}
-    rows: list[list[int]] = []
-    shapes = [()]
-    fills: list[Rows] = [()]
-    for v in range(1, n + 1):
-        if v in opens:
-            _insert_rows(rows, opens[v])
-        elif v in closes:
-            if not rows or rows[0][0] != v:
-                raise ValueError("arc endpoints out of order at vertex %d" % v)
-            _delete_min_rows(rows)
-        shapes.append(tuple(len(r) for r in rows))
-        fills.append(tuple(tuple(r) for r in rows))
-    assert not rows
-    return TableauSequence(
-        TableauKind.SEMI_OSCILLATING, n, tuple(shapes), tuple(fills)
-    )
+    if {a for a, _ in arcs} & {b for _, b in arcs}:
+        raise ValueError("matching arcs must be vertex-disjoint")
+    return _walk(TableauKind.SEMI_OSCILLATING, arcs, n)
 
 
 def decode(seq: TableauSequence) -> tuple[tuple[int, int], ...]:
@@ -459,32 +425,28 @@ def decode(seq: TableauSequence) -> tuple[tuple[int, int], ...]:
     ((2, 2),)
     """
     validate_sequence(seq)
-    if seq.kind is TableauKind.OSCILLATING:
-        raise ValueError("no decoder is defined for the oscillating flavour")
+    steps = _HALF_STEPS[seq.kind]
+    per_vertex = len(steps)
+    loops = steps[0] == "open"  # an arc may close where it opened
     shapes = seq.shapes
     rows: list[list[int]] = []
     arcs: list[tuple[int, int]] = []
-    semi = seq.kind is TableauKind.SEMI_OSCILLATING
     for i in range(len(shapes) - 1, 0, -1):
-        if semi:
-            v = i
-        elif seq.kind is TableauKind.VACILLATING:
-            v = (i + 1) // 2 if i % 2 == 1 else i // 2
-        else:  # hesitating
-            v = (i + 1) // 2 if i % 2 == 1 else i // 2
+        v = (i + per_vertex - 1) // per_vertex
         tag, cell = _shape_step(shapes[i - 1], shapes[i])
         if tag == "same":
             continue
         if tag == "add":
             label = _uninsert_rows(rows, cell)
-            if seq.kind is TableauKind.HESITATING:
-                assert label >= v
-            else:
-                assert label > v
+            if label < v or (label == v and not loops):
+                raise ConsistencyError(
+                    "%s walk opens an arc (%d, %d)" % (seq.kind.value, v, label)
+                )
             arcs.append((v, label))
         else:
             _undelete_rows(rows, cell, v)
-    assert not rows, "decode must drain the tableau"
+    if rows:
+        raise ConsistencyError("decode must drain the tableau")
     return tuple(sorted(arcs))
 
 

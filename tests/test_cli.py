@@ -282,6 +282,13 @@ def test_bijection_accepts_whitespace_between_blocks(capsys):
         ("{1 2}", "block {1 2} must list vertices separated by commas"),
         ("", "empty diagram text"),
         ("  ", "empty diagram text"),
+        ("2 1 / 1 / 2", "diagram text may contain only one '/'"),
+        ("{1,2} / 1 / 1", "diagram text may contain only one '/'"),
+        ("2 1 / a", "colour 'a' is not an integer"),
+        ("{1,2} / b", "colour 'b' is not an integer"),
+        ("2 x", "word entry 'x' is not an integer"),
+        ("{1,a}", "vertex 'a' is not an integer"),
+        ("{1,,2}", "block {1,,2} must list vertices separated by commas"),
     ],
 )
 def test_bijection_rejects_bad_input(capsys, text, message):

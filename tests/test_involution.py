@@ -2,6 +2,8 @@
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossnest.diagrams import (
     ColouredPermutation,
@@ -56,13 +58,17 @@ def _opener_closer_sets(obj):
     return openers(obj), closers(obj)
 
 
+def _check_laws(obj):
+    image = involute(obj)
+    c, e = cr_ne(obj)
+    assert cr_ne(image) == (e, c), obj
+    assert involute(image) == obj, obj
+    assert _opener_closer_sets(image) == _opener_closer_sets(obj), obj
+
+
 def _check_all(spec: EnumSpec):
     for obj in enumerate_objects(spec):
-        image = involute(obj)
-        c, e = cr_ne(obj)
-        assert cr_ne(image) == (e, c), obj
-        assert involute(image) == obj, obj
-        assert _opener_closer_sets(image) == _opener_closer_sets(obj), obj
+        _check_laws(obj)
 
 
 @pytest.mark.parametrize("n", range(0, 7))
@@ -116,3 +122,50 @@ def test_refined_distribution_is_symmetric():
         assert by_class
         for hist in by_class.values():
             assert hist.is_symmetric()
+
+
+# --- random diagrams of size 20-40 with 1-3 colours, past exhaustive reach ---
+
+SIZES = st.integers(20, 40)
+COLOURS = st.integers(1, 3)
+LAWS = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def coloured_permutations(draw):
+    n, r = draw(SIZES), draw(COLOURS)
+    word = draw(st.permutations(range(1, n + 1)))
+    colours = draw(st.lists(st.integers(1, r), min_size=n, max_size=n))
+    return ColouredPermutation(word, colours, r)
+
+
+@st.composite
+def coloured_set_partitions(draw):
+    n, r = draw(SIZES), draw(COLOURS)
+    blocks: list[list[int]] = []
+    for v in range(1, n + 1):  # a restricted growth string, one vertex at a time
+        b = draw(st.integers(0, len(blocks)))
+        if b == len(blocks):
+            blocks.append([])
+        blocks[b].append(v)
+    narcs = n - len(blocks)
+    colours = draw(st.lists(st.integers(1, r), min_size=narcs, max_size=narcs))
+    return ColouredSetPartition(blocks, colours, r)
+
+
+@given(coloured_permutations())
+@LAWS
+def test_random_permutation_laws(obj):
+    _check_laws(obj)
+
+
+@given(coloured_set_partitions())
+@LAWS
+def test_random_set_partition_laws(obj):
+    _check_laws(obj)
+
+
+@given(st.one_of(coloured_permutations(), coloured_set_partitions()))
+@settings(max_examples=300, deadline=None)
+def test_random_text_round_trip(obj):
+    assert parse_diagram(obj.to_text()) == obj

@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossnest.errors import ConsistencyError
 from crossnest.published import TABLEAU_EXAMPLES
 from crossnest.tableaux import (
     PartialTableau,
     TableauKind,
     TableauSequence,
+    _undelete_rows,
+    _uninsert_rows,
     conjugate,
     decode,
     encode_hesitating,
@@ -78,6 +81,29 @@ def test_deleting_minima_empties_any_tableau(labels):
     assert t.rows == ()
 
 
+# --- the row helpers refuse rows they could not have produced ---------------
+
+
+def test_uninsert_needs_a_row_end():
+    with pytest.raises(ConsistencyError, match="row end"):
+        _uninsert_rows([[1, 2]], (0, 0))
+
+
+def test_uninsert_needs_a_smaller_entry_above():
+    with pytest.raises(ConsistencyError, match="no smaller entry"):
+        _uninsert_rows([[5], [3]], (1, 0))  # column not increasing
+
+
+def test_undelete_needs_an_addable_cell():
+    with pytest.raises(ConsistencyError, match="not addable"):
+        _undelete_rows([[2]], (0, 2), 1)
+
+
+def test_undelete_needs_the_minimal_label():
+    with pytest.raises(ConsistencyError, match="minimum"):
+        _undelete_rows([[2]], (0, 1), 3)
+
+
 # --- golden walks -----------------------------------------------------------
 
 
@@ -117,14 +143,6 @@ def test_hesitating_must_not_grow_at_even_steps():
     with pytest.raises(ValueError):
         validate_sequence(_bare("hesitating", 1, [(), (), (1,)]))
     validate_sequence(_bare("hesitating", 1, [(), (1,), ()]))
-
-
-def test_oscillating_changes_every_step():
-    validate_sequence(_bare("oscillating", 2, [(), (1,), ()]))
-    with pytest.raises(ValueError):
-        validate_sequence(_bare("oscillating", 2, [(), (1,), (1,)]))
-    with pytest.raises(ValueError):
-        decode(_bare("oscillating", 2, [(), (1,), ()]))
 
 
 def test_sequences_start_and_end_empty():
