@@ -347,10 +347,13 @@ def vertex_kind(p, i: int) -> VertexKind:
     """
     if isinstance(p, ColouredPermutation):
         p = p.perm
-    out = p.image(i)
+    return _classify(i, p.image(i), p.preimage(i))
+
+
+def _classify(i: int, out: int, inc: int) -> VertexKind:
+    """The kind of vertex i, given its image `out` and preimage `inc`."""
     if out == i:
         return VertexKind.FIXED_POINT
-    inc = p.preimage(i)
     if out > i and inc > i:
         return VertexKind.OPENER
     if out < i and inc < i:
@@ -360,22 +363,27 @@ def vertex_kind(p, i: int) -> VertexKind:
     return VertexKind.LOWER_TRANSITORY
 
 
-def openers(p) -> frozenset[int]:
-    """Vertices that only start arcs (both neighbours to the right)."""
+def _vertices_of_kind(p, kind: VertexKind) -> frozenset[int]:
     if isinstance(p, ColouredPermutation):
         p = p.perm
+    inverse = [0] * (len(p) + 1)
+    for i, out in enumerate(p.word, start=1):
+        inverse[out] = i
     return frozenset(
-        i for i in range(1, len(p) + 1) if vertex_kind(p, i) is VertexKind.OPENER
+        i
+        for i, out in enumerate(p.word, start=1)
+        if _classify(i, out, inverse[i]) is kind
     )
+
+
+def openers(p) -> frozenset[int]:
+    """Vertices that only start arcs (both neighbours to the right)."""
+    return _vertices_of_kind(p, VertexKind.OPENER)
 
 
 def closers(p) -> frozenset[int]:
     """Vertices that only end arcs (both neighbours to the left)."""
-    if isinstance(p, ColouredPermutation):
-        p = p.perm
-    return frozenset(
-        i for i in range(1, len(p) + 1) if vertex_kind(p, i) is VertexKind.CLOSER
-    )
+    return _vertices_of_kind(p, VertexKind.CLOSER)
 
 
 def arc_start_vertices(arcs) -> frozenset[int]:

@@ -13,6 +13,12 @@ Every spec carries bound and refinement filters, all optional:
   exactly the given vertex set — for permutations these are the strict
   opener/closer vertices, for set partitions the arc start/end vertex sets.
 
+`count` walks only the uncoloured objects: a colouring is admissible
+exactly when each colour class is, so it counts each object's admissible
+colourings by splitting its arcs into colour classes.  The per-colouring
+enumerator behind `enumerate_objects` and `joint_histogram` is the slow
+reference it is tested against.
+
 Workloads are estimated before a single object is generated: n! * r^n for
 permutations, sum over block counts of S(n, b) * r^(n-b) for set
 partitions.  Estimates above the cap abort with CapExceeded rather than
@@ -22,7 +28,7 @@ checked.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import permutations as _lex_permutations
 from itertools import product
 from multiprocessing import Pool
@@ -35,7 +41,10 @@ from .diagrams import (
     arc_end_vertices,
     arc_start_vertices,
     closers,
+    colour_slices,
     cr_ne,
+    max_crossing,
+    max_nesting,
     openers,
 )
 from .errors import CapExceeded
@@ -107,6 +116,12 @@ def _admits(spec: EnumSpec, obj) -> bool:
             return False
         if spec.k is not None and n >= spec.k:
             return False
+    return _refined(spec, obj)
+
+
+def _refined(spec: EnumSpec, obj) -> bool:
+    """Whether the object has the spec's exact opener and closer sets;
+    these do not depend on the colours."""
     if spec.openers is not None or spec.closers is not None:
         if spec.family == "permutation":
             ovs, cvs = openers(obj), closers(obj)
@@ -147,18 +162,13 @@ def _rgs_blocks(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
 def enumerate_objects(spec: EnumSpec) -> Iterator:
     """Stream the admissible objects in the documented order."""
     _check_cap(spec)
-    yield from _enumerate_unguarded(spec, first=None)
+    yield from _enumerate_unguarded(spec)
 
 
-def _enumerate_unguarded(spec: EnumSpec, first: Optional[int]) -> Iterator:
+def _enumerate_unguarded(spec: EnumSpec) -> Iterator:
     n, r = spec.n, spec.colours
     if spec.family == "permutation":
-        if first is None:
-            words = _lex_permutations(range(1, n + 1))
-        else:
-            rest = [v for v in range(1, n + 1) if v != first]
-            words = ((first,) + tail for tail in _lex_permutations(rest))
-        for word in words:
+        for word in _lex_permutations(range(1, n + 1)):
             for cols in product(range(1, r + 1), repeat=n):
                 obj = ColouredPermutation(word, cols)
                 if _admits(spec, obj):
@@ -172,8 +182,84 @@ def _enumerate_unguarded(spec: EnumSpec, first: Optional[int]) -> Iterator:
                 yield obj
 
 
+def _uncoloured(spec: EnumSpec, first: Optional[int]) -> Iterator:
+    """(word or blocks, colour slices) of each uncoloured object that passes
+    the refinement, in the documented order; `first` fixes a permutation's
+    first letter."""
+    n = spec.n
+    if spec.family == "permutation":
+        if first is None:
+            words = _lex_permutations(range(1, n + 1))
+        else:
+            rest = [v for v in range(1, n + 1) if v != first]
+            words = ((first,) + tail for tail in _lex_permutations(rest))
+        objs = ((word, ColouredPermutation(word)) for word in words)
+    else:
+        objs = ((blocks, ColouredSetPartition(blocks)) for blocks in _rgs_blocks(n))
+    for key, obj in objs:
+        if _refined(spec, obj):
+            yield key, colour_slices(obj)
+
+
+def _colourings(spec: EnumSpec, slices) -> int:
+    """How many r-colourings of one uncoloured object pass the bounds.
+
+    `slices` are the object's one-coloured `colour_slices`: each arc is an
+    (enhanced) upper or a plain lower arc.  A colouring passes exactly when
+    each colour class does, so the arcs are split into classes by
+    backtracking, and a split into b classes stands for the
+    r(r-1)...(r-b+1) colourings that give its classes distinct colours.
+    Adding arcs never lowers cr or ne, so a class is dropped as soon as its
+    upper or its lower arcs reach cr >= j or ne >= k.
+    """
+    arcs = [(pair, enhanced) for pairs, enhanced in slices for pair in pairs]
+    r = spec.colours
+    if spec.j is None and spec.k is None:
+        return r ** len(arcs)
+    side = {True: 0, False: 0}  # the upper and the lower arcs, as bitmasks
+    for b, (_, enhanced) in enumerate(arcs):
+        side[enhanced] |= 1 << b
+    admissible: dict[int, bool] = {}
+
+    def fits(mask: int, enhanced: bool) -> bool:
+        ok = admissible.get(mask)
+        if ok is None:
+            pairs = [arcs[b][0] for b in range(len(arcs)) if mask >> b & 1]
+            ok = (spec.j is None or max_crossing(pairs, enhanced) < spec.j) and (
+                spec.k is None or max_nesting(pairs, enhanced) < spec.k
+            )
+            admissible[mask] = ok
+        return ok
+
+    falling = [1]  # falling[b] = r(r-1)...(r-b+1)
+    for b in range(r):
+        falling.append(falling[-1] * (r - b))
+    classes: list[int] = []
+
+    def place(i: int) -> int:
+        if i == len(arcs):
+            return falling[len(classes)]
+        bit, enhanced, total = 1 << i, arcs[i][1], 0
+        for c, mask in enumerate(classes):
+            if fits((mask | bit) & side[enhanced], enhanced):
+                classes[c] = mask | bit
+                total += place(i + 1)
+                classes[c] = mask
+        if len(classes) < r:  # a single arc is never a 2-crossing or 2-nesting
+            classes.append(bit)
+            total += place(i + 1)
+            classes.pop()
+        return total
+
+    return place(0)
+
+
 def count(spec: EnumSpec, threads: int = 1) -> int:
-    """Number of admissible objects; may fan permutations out to workers."""
+    """Number of admissible objects; may fan permutations out to workers.
+
+    Walks the uncoloured objects and counts the colourings of each one
+    (`_colourings`); the cap still counts every coloured object.
+    """
     _check_cap(spec)
     workers = _worker_count(threads, spec.n)
     if workers > 1 and spec.family == "permutation":
@@ -182,7 +268,7 @@ def count(spec: EnumSpec, threads: int = 1) -> int:
                 _count_chunk, [(spec, v) for v in range(1, spec.n + 1)]
             )
         return sum(chunks)
-    return sum(1 for _ in _enumerate_unguarded(spec, first=None))
+    return _count_chunk((spec, None))
 
 
 def _worker_count(threads: int, n: int) -> int:
@@ -192,7 +278,7 @@ def _worker_count(threads: int, n: int) -> int:
 
 def _count_chunk(args) -> int:
     spec, first = args
-    return sum(1 for _ in _enumerate_unguarded(spec, first=first))
+    return sum(_colourings(spec, slices) for _, slices in _uncoloured(spec, first))
 
 
 def joint_histogram(spec: EnumSpec) -> JointHistogram:
@@ -214,12 +300,14 @@ def permutation_colouring_counts(
     n: int, colours: int, j: int, k: int, max_objects: Optional[int] = None
 ) -> dict[tuple[int, ...], int]:
     """For each permutation word of [n], how many of its colourings pass
-    the (j, k) bounds."""
+    the (j, k) bounds (words with none are left out)."""
     spec = EnumSpec(
         family="permutation", n=n, colours=colours, j=j, k=k, max_objects=max_objects
     )
     _check_cap(spec)
     out: dict[tuple[int, ...], int] = {}
-    for obj in _enumerate_unguarded(spec, first=None):
-        out[obj.word] = out.get(obj.word, 0) + 1
+    for word, slices in _uncoloured(spec, first=None):
+        admitted = _colourings(spec, slices)
+        if admitted:
+            out[word] = admitted
     return out

@@ -100,6 +100,15 @@ def test_vertex_kinds_of_worked_permutation():
     assert closers(p) == frozenset({5, 6})
 
 
+@given(st.integers(0, 60).flatmap(lambda n: st.permutations(range(1, n + 1))))
+@settings(max_examples=200)
+def test_opener_and_closer_sets_match_vertex_kind(word):
+    p = Permutation(word)
+    kinds = {i: vertex_kind(p, i) for i in range(1, len(word) + 1)}
+    assert openers(p) == {i for i, kind in kinds.items() if kind is VertexKind.OPENER}
+    assert closers(p) == {i for i, kind in kinds.items() if kind is VertexKind.CLOSER}
+
+
 def test_lower_transitory_kind():
     # 3 1 2: vertex 2 is entered from above (1 <- sigma) and leaves below
     p = Permutation([3, 1, 2])

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossnest.diagrams import cr_ne, is_ncn
+from crossnest.diagrams import (
+    arc_end_vertices,
+    arc_start_vertices,
+    closers,
+    cr_ne,
+    is_ncn,
+    openers,
+)
 from crossnest import oracle
 from crossnest.errors import CapExceeded
 from crossnest.oracle import (
@@ -92,8 +99,6 @@ def test_one_sided_bound():
 
 
 def test_refinement_partitions_the_space():
-    from crossnest.diagrams import openers, closers
-
     by_sets: dict = {}
     for obj in enumerate_objects(EnumSpec("permutation", 4)):
         key = (openers(obj), closers(obj))
@@ -109,6 +114,60 @@ def test_refinement_partitions_the_space():
 def test_refined_count_requires_both_sets():
     with pytest.raises(ValueError):
         refined_count(EnumSpec("permutation", 3, openers=frozenset({1})))
+
+
+BOUNDS = [(None, None), (2, 2), (2, 3), (3, 2), (3, 3), (2, None), (None, 2)]
+
+
+@pytest.mark.parametrize(
+    "family,n,r,j,k",
+    [
+        (family, n, r, j, k)
+        for family in ("permutation", "setpartition")
+        for n in range(6)
+        for r in (1, 2, 3)
+        for j, k in BOUNDS
+        if (family, n, r) != ("permutation", 5, 3) or (j, k) == (2, 2)
+    ],
+)
+def test_count_matches_the_enumerator(family, n, r, j, k):
+    spec = EnumSpec(family, n, colours=r, j=j, k=k)
+    assert count(spec) == sum(1 for _ in enumerate_objects(spec))
+
+
+def _refinements(family, n):
+    """Every (openers, closers) pair that some object of size n has."""
+    found = set()
+    for obj in enumerate_objects(EnumSpec(family, n)):
+        if family == "permutation":
+            found.add((openers(obj), closers(obj)))
+        else:
+            arcs = obj.arcs()
+            found.add((arc_start_vertices(arcs), arc_end_vertices(arcs)))
+    return sorted(found, key=lambda pair: (sorted(pair[0]), sorted(pair[1])))
+
+
+@pytest.mark.parametrize(
+    "family,n,r",
+    [("permutation", 4, 1), ("permutation", 4, 2), ("setpartition", 5, 1), ("setpartition", 5, 2)],
+)
+@pytest.mark.parametrize("j,k", [(None, None), (2, 2), (2, 3), (None, 2)])
+def test_refined_count_matches_the_enumerator(family, n, r, j, k):
+    for ovs, cvs in _refinements(family, n):
+        spec = EnumSpec(family, n, colours=r, j=j, k=k, openers=ovs, closers=cvs)
+        assert count(spec) == sum(1 for _ in enumerate_objects(spec)), (ovs, cvs)
+
+
+def test_refined_count_in_worker_processes(monkeypatch):
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+    assert oracle._worker_count(2, 5) == 2  # so the chunks run in a pool
+    spec = EnumSpec(
+        "permutation", 5, colours=2, j=2, k=3,
+        openers=frozenset({1, 2}), closers=frozenset({4, 5}),
+    )
+    want = sum(1 for _ in enumerate_objects(spec))
+    assert want > 0
+    assert count(spec, threads=2) == want
 
 
 def test_threads_agree_with_single_process():

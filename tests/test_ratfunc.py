@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossnest.automata import build_permutation_22, build_setpartition_22
+from crossnest.automata import Multigraph, build_permutation_22, build_setpartition_22
 from crossnest import ratfunc
 from crossnest.errors import CapExceeded, ConsistencyError
 from crossnest.ratfunc import (
@@ -191,9 +191,30 @@ def test_series_matches_matrix_powers(build, r):
     assert series(gf_from_graph(g), 12).coeffs == series_by_power(g, 12).coeffs
 
 
-def test_gf_state_cap():
-    from crossnest.automata import Multigraph
+@st.composite
+def _symmetric_graphs(draw):
+    n = draw(st.integers(1, 6))
+    rows = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            rows[a][b] = rows[b][a] = draw(st.integers(0, 3))
+    return Multigraph(
+        family="setpartition",
+        j=2,
+        k=2,
+        colours=1,
+        states=tuple("s%d" % i for i in range(n)),
+        matrix=tuple(tuple(row) for row in rows),
+    )
 
+
+@given(_symmetric_graphs())
+@settings(max_examples=150, deadline=None)
+def test_series_matches_matrix_powers_on_random_graphs(g):
+    assert series(gf_from_graph(g), 12) == series_by_power(g, 12)
+
+
+def test_gf_state_cap():
     n = 201
     g = Multigraph(
         family="setpartition",
