@@ -31,7 +31,7 @@ from .diagrams import (
 )
 from .errors import CapExceeded, ConsistencyError
 from .involution import involute
-from .oracle import EnumSpec, count, enumerate_objects, joint_histogram, refined_count
+from .oracle import EnumSpec, count, enumerate_objects, joint_histogram
 from .ratfunc import (
     IntPoly,
     RationalFunction,
@@ -95,7 +95,6 @@ __all__ = [
     "ne",
     "openers",
     "parse_diagram",
-    "refined_count",
     "series",
     "series_by_power",
     "split_linear_factors",

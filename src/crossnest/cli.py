@@ -58,13 +58,20 @@ def _cap(flag_value: Optional[int], env_name: str) -> Optional[int]:
         raise ValueError("%s must be an integer, got %r" % (env_name, raw)) from None
 
 
-def _vertex_set(text: Optional[str]) -> Optional[frozenset[int]]:
+def _vertex_set(text: Optional[str], flag: str) -> Optional[frozenset[int]]:
+    """The vertices of a comma separated list, naming a bad entry."""
     if text is None:
         return None
     text = text.strip()
     if not text:
         return frozenset()
-    return frozenset(int(part) for part in text.split(","))
+    vertices = set()
+    for part in text.split(","):
+        try:
+            vertices.add(int(part))
+        except ValueError:
+            raise ValueError("%s entry %r is not an integer" % (flag, part)) from None
+    return frozenset(vertices)
 
 
 def _emit_json(payload) -> None:
@@ -92,8 +99,8 @@ def cmd_count(args) -> int:
         colours=args.colours,
         j=args.j,
         k=args.k,
-        openers=_vertex_set(args.openers),
-        closers=_vertex_set(args.closers),
+        openers=_vertex_set(args.openers, "--openers"),
+        closers=_vertex_set(args.closers, "--closers"),
         max_objects=_cap(args.max_objects, "CROSSNEST_MAX_ORACLE"),
     )
     base = {
@@ -245,11 +252,8 @@ def cmd_graph(args) -> int:
 
 
 def _trace_entries(obj) -> list[dict]:
-    n = len(obj)
     walks = [
-        (tableaux.encode_hesitating if enhanced else tableaux.encode_vacillating)(
-            pairs, n
-        ).to_json_dict()
+        involution.encode_slice(pairs, enhanced, len(obj)).to_json_dict()
         for pairs, enhanced in diagrams.colour_slices(obj)
     ]
     if isinstance(obj, diagrams.ColouredSetPartition):
@@ -384,19 +388,7 @@ def _selftest_items(perturb: int, max_objects: Optional[int]):
                     return ("FAIL", "statistics not swapped on %r" % (obj,))
                 if involution.involute(image) != obj:
                     return ("FAIL", "not an involution on %r" % (obj,))
-                if family == "permutation":
-                    before = (diagrams.openers(obj), diagrams.closers(obj))
-                    after = (diagrams.openers(image), diagrams.closers(image))
-                else:
-                    before = (
-                        diagrams.arc_start_vertices(obj.arcs()),
-                        diagrams.arc_end_vertices(obj.arcs()),
-                    )
-                    after = (
-                        diagrams.arc_start_vertices(image.arcs()),
-                        diagrams.arc_end_vertices(image.arcs()),
-                    )
-                if before != after:
+                if diagrams.opener_closer_sets(image) != diagrams.opener_closer_sets(obj):
                     return ("FAIL", "opener/closer sets moved on %r" % (obj,))
                 checked += 1
         return ("PASS", "%d diagrams" % checked)

@@ -395,6 +395,19 @@ def arc_end_vertices(arcs) -> frozenset[int]:
     return frozenset(_pair(a)[1] for a in arcs)
 
 
+def opener_closer_sets(obj) -> tuple[frozenset[int], frozenset[int]]:
+    """The (openers, closers) of a permutation, or the arc start and end
+    vertex sets of a set partition; the involution keeps both.
+
+    >>> opener_closer_sets(ColouredSetPartition.from_text("{1,3,6},{4,5},{2}"))
+    (frozenset({1, 3, 4}), frozenset({3, 5, 6}))
+    """
+    if isinstance(obj, ColouredSetPartition):
+        pairs = obj._pairs()
+        return arc_start_vertices(pairs), arc_end_vertices(pairs)
+    return openers(obj), closers(obj)
+
+
 def arcs_of(obj) -> tuple[tuple[Arc, ...], tuple[Arc, ...]]:
     """Split a coloured object into its (upper, lower) arc lists.
 

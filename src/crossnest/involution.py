@@ -1,25 +1,28 @@
 """The crossing-nesting involution on coloured diagrams.
 
-Colour by colour, the upper diagram of a permutation is encoded as a
-hesitating tableau sequence and the lower diagram as a vacillating one;
-conjugating every shape and decoding yields the image diagrams, and the
-image arcs of all colours reassemble into a permutation.  Because columns
-of the shapes track crossings while rows track nestings, conjugation swaps
-the maximal crossing and nesting sizes in every colour of every diagram,
-while the deletion/insertion pattern (hence the set of openers and of
-closers) is untouched.  Applied twice the map is the identity, since
-conjugation is an involution and encode/decode invert each other.
+Both families run through one loop over `diagrams.colour_slices`.  Each
+colour's diagram is encoded as a tableau walk (`encode_slice`: hesitating
+for the enhanced upper diagram of a permutation, vacillating for a plain
+diagram, which is a permutation's lower diagram or a set partition's
+diagram), every shape is conjugated, and the walk is decoded into the
+image diagram (`involute_slice`).  Because columns of the shapes track
+crossings while rows track nestings, conjugation swaps the maximal
+crossing and nesting sizes in every colour of every diagram, while the
+deletion/insertion pattern (hence the set of openers and of closers) is
+untouched.  Applied twice the map is the identity, since conjugation is
+an involution and encode/decode invert each other.
 
-Set partitions work the same way with a single vacillating sequence per
-colour.
+The image arcs of all colours become links from a source vertex to a
+target vertex: a permutation's upper arc (a, b) sends a to b and its lower
+arc sends b to a, while a set partition's arc links a to b.  The links
+sorted by source are the image word and colours, or chain into the image
+blocks with their arc colours.
 
-Reassembly is validating, never repairing: if the image arcs of the colour
-classes fail to combine into a bijection (they cannot, unless the encoding
+Reassembly is validating, never repairing: if the links fail to combine
+into a permutation or set partition (they cannot, unless the encoding
 machinery itself is broken), a ConsistencyError is raised.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .diagrams import (
     ColouredPermutation,
@@ -29,6 +32,7 @@ from .diagrams import (
 )
 from .errors import ConsistencyError
 from .tableaux import (
+    TableauSequence,
     decode,
     encode_hesitating,
     encode_vacillating,
@@ -36,96 +40,23 @@ from .tableaux import (
 )
 
 
-@dataclass(frozen=True)
-class ColourClassSlice:
-    """One colour's share of a permutation diagram."""
+def encode_slice(pairs, enhanced: bool, n: int) -> TableauSequence:
+    """The tableau walk of one `colour_slices` entry: hesitating for an
+    enhanced diagram, vacillating for a plain one.
 
-    colour: int
-    n: int
-    upper: tuple[tuple[int, int], ...]  # enhanced: loops allowed
-    lower: tuple[tuple[int, int], ...]  # plain
-
-
-def slice_by_colour(cp: ColouredPermutation) -> tuple[ColourClassSlice, ...]:
-    """Split a coloured permutation into per-colour upper/lower arc lists.
-
-    >>> cp = ColouredPermutation.from_text("4 5 3 6 2 1 / 1 2 1 2 2 2")
-    >>> slice_by_colour(cp)[0]
-    ColourClassSlice(colour=1, n=6, upper=((1, 4), (3, 3)), lower=())
+    >>> encode_slice([(1, 4), (3, 3)], True, 6).kind.name
+    'HESITATING'
     """
-    slices = colour_slices(cp)
-    return tuple(
-        ColourClassSlice(c, len(cp), tuple(sorted(upper)), tuple(sorted(lower)))
-        for c, ((upper, _), (lower, _)) in enumerate(
-            zip(slices[0::2], slices[1::2]), start=1
-        )
-    )
+    return (encode_hesitating if enhanced else encode_vacillating)(pairs, n)
 
 
-def involute_slice(s: ColourClassSlice) -> ColourClassSlice:
-    """Transpose one colour class (upper hesitating, lower vacillating)."""
-    upper = decode(transpose_sequence(encode_hesitating(s.upper, s.n)))
-    lower = decode(transpose_sequence(encode_vacillating(s.lower, s.n)))
-    return ColourClassSlice(s.colour, s.n, upper, lower)
+def involute_slice(pairs, enhanced: bool, n: int) -> tuple[tuple[int, int], ...]:
+    """The image arcs of one `colour_slices` entry.
 
-
-def _recombine(n: int, slices) -> ColouredPermutation:
-    word = [0] * n
-    colours = [0] * n
-    incoming = [0] * n
-    for s in slices:
-        # an upper arc (a, b) sends a to b, a lower one sends b to a
-        for src, dst in s.upper + tuple((b, a) for a, b in s.lower):
-            if word[src - 1]:
-                raise ConsistencyError("vertex %d starts two arcs" % src)
-            word[src - 1] = dst
-            colours[src - 1] = s.colour
-            if incoming[dst - 1]:
-                raise ConsistencyError("vertex %d ends two arcs" % dst)
-            incoming[dst - 1] = src
-    if 0 in word or 0 in incoming:
-        raise ConsistencyError("image arcs leave a vertex untouched")
-    try:
-        return ColouredPermutation(word, colours)
-    except ValueError as exc:
-        raise ConsistencyError("image arcs are not a permutation: %s" % exc) from exc
-
-
-def _involute_permutation(cp: ColouredPermutation) -> ColouredPermutation:
-    slices = [involute_slice(s) for s in slice_by_colour(cp)]
-    image = _recombine(len(cp), slices)
-    return ColouredPermutation(image.word, image.colours, cp.num_colours)
-
-
-def _involute_set_partition(sp: ColouredSetPartition) -> ColouredSetPartition:
-    n = len(sp)
-    image: list[tuple[tuple[int, int], int]] = []
-    for c, (pairs, _) in enumerate(colour_slices(sp), start=1):
-        for arc in decode(transpose_sequence(encode_vacillating(pairs, n))):
-            image.append((arc, c))
-    image.sort()
-    # chain the arcs back into blocks
-    succ: dict[int, int] = {}
-    has_pred: set[int] = set()
-    for (a, b), _ in image:
-        if a in succ or b in has_pred:
-            raise ConsistencyError("image arcs do not chain into blocks")
-        succ[a] = b
-        has_pred.add(b)
-    blocks = []
-    for v in range(1, n + 1):
-        if v in has_pred:
-            continue
-        block = [v]
-        while block[-1] in succ:
-            block.append(succ[block[-1]])
-        blocks.append(block)
-    try:
-        return ColouredSetPartition(
-            blocks, [c for _, c in image], sp.num_colours
-        )
-    except ValueError as exc:
-        raise ConsistencyError("image arcs are not a set partition: %s" % exc) from exc
+    >>> involute_slice([(2, 5), (4, 6)], True, 6)
+    ((2, 6), (4, 5))
+    """
+    return decode(transpose_sequence(encode_slice(pairs, enhanced, n)))
 
 
 def involute(obj):
@@ -137,8 +68,42 @@ def involute(obj):
     """
     if isinstance(obj, Permutation):
         obj = ColouredPermutation(obj)
-    if isinstance(obj, ColouredPermutation):
-        return _involute_permutation(obj)
-    if isinstance(obj, ColouredSetPartition):
-        return _involute_set_partition(obj)
-    raise TypeError("expected a coloured permutation or set partition")
+    if not isinstance(obj, (ColouredPermutation, ColouredSetPartition)):
+        raise TypeError("expected a coloured permutation or set partition")
+    permutation = isinstance(obj, ColouredPermutation)
+    per_colour = 2 if permutation else 1  # colour_slices entries per colour
+    n = len(obj)
+    links: dict[int, tuple[int, int]] = {}  # source -> (target, colour)
+    targets: set[int] = set()
+    for i, (pairs, enhanced) in enumerate(colour_slices(obj)):
+        colour = i // per_colour + 1
+        flip = permutation and not enhanced
+        for a, b in involute_slice(pairs, enhanced, n):
+            src, dst = (b, a) if flip else (a, b)
+            if src in links:
+                raise ConsistencyError("vertex %d starts two arcs" % src)
+            if dst in targets:
+                raise ConsistencyError("vertex %d ends two arcs" % dst)
+            links[src] = (dst, colour)
+            targets.add(dst)
+    ordered = sorted(links.items())
+    colours = [c for _, (_, c) in ordered]
+    if permutation and [src for src, _ in ordered] != list(range(1, n + 1)):
+        raise ConsistencyError("image arcs leave a vertex untouched")
+    try:
+        if permutation:
+            word = [dst for _, (dst, _) in ordered]
+            return ColouredPermutation(word, colours, obj.num_colours)
+        blocks = []
+        for v in range(1, n + 1):
+            if v not in targets:  # v starts a block; follow its links
+                block = [v]
+                while block[-1] in links:
+                    block.append(links[block[-1]][0])
+                blocks.append(block)
+        return ColouredSetPartition(blocks, colours, obj.num_colours)
+    except ValueError as exc:
+        raise ConsistencyError(
+            "image arcs are not a %s: %s"
+            % ("permutation" if permutation else "set partition", exc)
+        ) from exc

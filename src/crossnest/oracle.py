@@ -38,14 +38,11 @@ from .diagrams import (
     ColouredPermutation,
     ColouredSetPartition,
     JointHistogram,
-    arc_end_vertices,
-    arc_start_vertices,
-    closers,
     colour_slices,
     cr_ne,
     max_crossing,
     max_nesting,
-    openers,
+    opener_closer_sets,
 )
 from .errors import CapExceeded
 
@@ -123,11 +120,7 @@ def _refined(spec: EnumSpec, obj) -> bool:
     """Whether the object has the spec's exact opener and closer sets;
     these do not depend on the colours."""
     if spec.openers is not None or spec.closers is not None:
-        if spec.family == "permutation":
-            ovs, cvs = openers(obj), closers(obj)
-        else:
-            arcs = obj.arcs()
-            ovs, cvs = arc_start_vertices(arcs), arc_end_vertices(arcs)
+        ovs, cvs = opener_closer_sets(obj)
         if spec.openers is not None and ovs != spec.openers:
             return False
         if spec.closers is not None and cvs != spec.closers:
@@ -287,13 +280,6 @@ def joint_histogram(spec: EnumSpec) -> JointHistogram:
     for obj in enumerate_objects(spec):
         hist.add(cr_ne(obj))
     return hist
-
-
-def refined_count(spec: EnumSpec, threads: int = 1) -> int:
-    """Count with the opener/closer refinement; the sets must be given."""
-    if spec.openers is None or spec.closers is None:
-        raise ValueError("refined_count needs both openers and closers")
-    return count(spec, threads=threads)
 
 
 def permutation_colouring_counts(

@@ -23,15 +23,7 @@ from crossnest import (
     split_linear_factors,
 )
 from crossnest import oracle
-from crossnest.diagrams import (
-    ColouredSetPartition,
-    arc_end_vertices,
-    arc_start_vertices,
-    closers,
-    cr_ne,
-    enhanced_arcs,
-    openers,
-)
+from crossnest.diagrams import cr_ne, enhanced_arcs, opener_closer_sets
 from crossnest.errors import CapExceeded
 from crossnest.published import (
     INVOLUTION_EXAMPLE_IMAGE,
@@ -127,13 +119,6 @@ def test_criterion_5_oracle_matches_transfer_graphs():
     _finish(started, 180, "exhaustive counts match transfer graph walks")
 
 
-def _opener_closer_sets(obj):
-    if isinstance(obj, ColouredSetPartition):
-        arcs = obj.arcs()
-        return arc_start_vertices(arcs), arc_end_vertices(arcs)
-    return openers(obj), closers(obj)
-
-
 def test_criterion_6_involution_suite():
     started = time.perf_counter()
     cases = [("permutation", n, 1) for n in range(7)]
@@ -146,13 +131,13 @@ def test_criterion_6_involution_suite():
             c, e = cr_ne(obj)
             assert cr_ne(image) == (e, c), obj
             assert involute(image) == obj, obj
-            assert _opener_closer_sets(image) == _opener_closer_sets(obj), obj
+            assert opener_closer_sets(image) == opener_closer_sets(obj), obj
     # refined noncrossing = nonnesting over every opener/closer pair on [4]
     for family in ("permutation", "setpartition"):
         noncrossing: dict = {}
         nonnesting: dict = {}
         for obj in oracle.enumerate_objects(EnumSpec(family, 4, colours=2)):
-            key = _opener_closer_sets(obj)
+            key = opener_closer_sets(obj)
             c, e = cr_ne(obj)
             if c < 2:
                 noncrossing[key] = noncrossing.get(key, 0) + 1

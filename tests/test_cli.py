@@ -64,6 +64,17 @@ def test_count_refined(capsys):
     assert out.startswith("count: ")
 
 
+@pytest.mark.parametrize("flag", ["--openers", "--closers"])
+@pytest.mark.parametrize("value,bad", [("1,a", "a"), ("1,,2", "")])
+def test_count_names_a_bad_vertex_entry(capsys, flag, value, bad):
+    code, out, err = run_cli(
+        capsys, "count", "--family", "permutation", "--n", "3", flag, value
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: %s entry %r is not an integer\n" % (flag, bad)
+
+
 def test_count_histogram_json(capsys):
     code, out, _ = run_cli(
         capsys, "count", "--family", "permutation", "--n", "4",

@@ -23,10 +23,12 @@ from crossnest.diagrams import (
     max_nesting,
     max_nesting_exhaustive,
     ne,
+    opener_closer_sets,
     openers,
     parse_diagram,
     vertex_kind,
 )
+from crossnest.oracle import EnumSpec, enumerate_objects
 
 
 def test_permutation_rejects_non_bijections():
@@ -274,6 +276,19 @@ def test_arc_start_end_sets():
     sp = ColouredSetPartition([[1, 3, 6], [2], [4, 5]])
     assert arc_start_vertices(sp.arcs()) == frozenset({1, 3, 4})
     assert arc_end_vertices(sp.arcs()) == frozenset({3, 5, 6})
+
+
+@pytest.mark.parametrize("family", ["permutation", "setpartition"])
+def test_opener_closer_sets_follow_the_family(family):
+    for n in range(6):
+        for r in (1, 2):
+            for obj in enumerate_objects(EnumSpec(family, n, colours=r)):
+                if family == "permutation":
+                    want = (openers(obj), closers(obj))
+                else:
+                    arcs = obj.arcs()
+                    want = (arc_start_vertices(arcs), arc_end_vertices(arcs))
+                assert opener_closer_sets(obj) == want, obj
 
 
 def test_joint_histogram_symmetry_helpers():

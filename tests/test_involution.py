@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossnest import cli, involution
 from crossnest.diagrams import (
     ColouredPermutation,
     ColouredSetPartition,
-    arc_end_vertices,
-    arc_start_vertices,
-    closers,
+    colour_slices,
     cr_ne,
-    openers,
+    max_crossing,
+    max_nesting,
+    opener_closer_sets,
     parse_diagram,
 )
-from crossnest.involution import involute, involute_slice, slice_by_colour
+from crossnest.errors import ConsistencyError
+from crossnest.involution import involute, involute_slice
 from crossnest.oracle import EnumSpec, enumerate_objects
 from crossnest.published import (
     INVOLUTION_EXAMPLE_IMAGE,
@@ -37,25 +39,69 @@ def test_worked_example_statistics():
     assert cr_ne(image) == (2, 2)
 
 
+def _sides(obj):
+    """The colour_slices entries of a permutation, keyed by (colour, side)."""
+    for i, (pairs, enhanced) in enumerate(colour_slices(obj)):
+        yield (i // 2 + 1, "upper" if enhanced else "lower"), pairs, enhanced
+
+
 def test_worked_example_slices():
     cp = parse_diagram(INVOLUTION_EXAMPLE_INPUT)
-    for s in slice_by_colour(cp):
-        assert s.upper == INVOLUTION_EXAMPLE_SEQUENCES[(s.colour, "upper")]["arcs"]
-        assert s.lower == INVOLUTION_EXAMPLE_SEQUENCES[(s.colour, "lower")]["arcs"]
+    keys = set()
+    for key, pairs, _ in _sides(cp):
+        assert tuple(sorted(pairs)) == INVOLUTION_EXAMPLE_SEQUENCES[key]["arcs"], key
+        keys.add(key)
+    assert keys == set(INVOLUTION_EXAMPLE_SEQUENCES)
 
 
 def test_slice_involution_swaps_per_colour():
     cp = parse_diagram(INVOLUTION_EXAMPLE_INPUT)
-    for s in slice_by_colour(cp):
-        image = involute_slice(involute_slice(s))
-        assert image == s
+    for key, pairs, enhanced in _sides(cp):
+        image = involute_slice(pairs, enhanced, len(cp))
+        assert max_crossing(image, enhanced) == max_nesting(pairs, enhanced), key
+        assert max_nesting(image, enhanced) == max_crossing(pairs, enhanced), key
+        back = involute_slice(image, enhanced, len(cp))
+        assert sorted(back) == sorted(pairs), key
 
 
-def _opener_closer_sets(obj):
-    if isinstance(obj, ColouredSetPartition):
-        arcs = obj.arcs()
-        return arc_start_vertices(arcs), arc_end_vertices(arcs)
-    return openers(obj), closers(obj)
+# each corruption of the slice images, and the reassembly error it must raise
+CORRUPTIONS = {
+    "duplicated source": ("1 2", lambda arcs: arcs + arcs[:1], "vertex 1 starts two arcs"),
+    "duplicated target": (
+        "{1,3},{2}",
+        lambda arcs: arcs + tuple((a + 1, b) for a, b in arcs),
+        "vertex 3 ends two arcs",
+    ),
+    "missing vertex": ("1 2", lambda arcs: arcs[1:], "image arcs leave a vertex untouched"),
+}
+
+
+def _corrupt(monkeypatch, corruption):
+    real = involution.involute_slice
+    monkeypatch.setattr(
+        involution,
+        "involute_slice",
+        lambda pairs, enhanced, n: corruption(real(pairs, enhanced, n)),
+    )
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_reassembly_rejects_corrupted_images(monkeypatch, case):
+    text, corruption, message = CORRUPTIONS[case]
+    obj = parse_diagram(text)
+    assert involute(obj) == obj  # these inputs are fixed points
+    _corrupt(monkeypatch, corruption)
+    with pytest.raises(ConsistencyError, match="^%s$" % message):
+        involute(obj)
+
+
+def test_corrupted_image_is_exit_three(monkeypatch, capsys):
+    text, corruption, message = CORRUPTIONS["duplicated source"]
+    _corrupt(monkeypatch, corruption)
+    assert cli.main(["bijection", "--input", text]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "consistency failure: %s\n" % message
 
 
 def _check_laws(obj):
@@ -63,7 +109,7 @@ def _check_laws(obj):
     c, e = cr_ne(obj)
     assert cr_ne(image) == (e, c), obj
     assert involute(image) == obj, obj
-    assert _opener_closer_sets(image) == _opener_closer_sets(obj), obj
+    assert opener_closer_sets(image) == opener_closer_sets(obj), obj
 
 
 def _check_all(spec: EnumSpec):
@@ -117,7 +163,7 @@ def test_refined_distribution_is_symmetric():
     for family, n, r in (("permutation", 5, 1), ("setpartition", 6, 1)):
         by_class: dict = {}
         for obj in enumerate_objects(EnumSpec(family, n, colours=r)):
-            key = _opener_closer_sets(obj)
+            key = opener_closer_sets(obj)
             by_class.setdefault(key, JointHistogram()).add(cr_ne(obj))
         assert by_class
         for hist in by_class.values():

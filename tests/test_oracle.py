@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossnest.diagrams import (
-    arc_end_vertices,
-    arc_start_vertices,
-    closers,
-    cr_ne,
-    is_ncn,
-    openers,
-)
+from crossnest.diagrams import cr_ne, is_ncn, opener_closer_sets
 from crossnest import oracle
 from crossnest.errors import CapExceeded
 from crossnest.oracle import (
@@ -21,7 +14,6 @@ from crossnest.oracle import (
     enumerate_objects,
     joint_histogram,
     permutation_colouring_counts,
-    refined_count,
     workload,
 )
 
@@ -101,19 +93,14 @@ def test_one_sided_bound():
 def test_refinement_partitions_the_space():
     by_sets: dict = {}
     for obj in enumerate_objects(EnumSpec("permutation", 4)):
-        key = (openers(obj), closers(obj))
+        key = opener_closer_sets(obj)
         by_sets[key] = by_sets.get(key, 0) + 1
     total = 0
     for (ovs, cvs), expected in by_sets.items():
         spec = EnumSpec("permutation", 4, openers=ovs, closers=cvs)
-        assert refined_count(spec) == expected
+        assert count(spec) == expected
         total += expected
     assert total == 24
-
-
-def test_refined_count_requires_both_sets():
-    with pytest.raises(ValueError):
-        refined_count(EnumSpec("permutation", 3, openers=frozenset({1})))
 
 
 BOUNDS = [(None, None), (2, 2), (2, 3), (3, 2), (3, 3), (2, None), (None, 2)]
@@ -137,13 +124,7 @@ def test_count_matches_the_enumerator(family, n, r, j, k):
 
 def _refinements(family, n):
     """Every (openers, closers) pair that some object of size n has."""
-    found = set()
-    for obj in enumerate_objects(EnumSpec(family, n)):
-        if family == "permutation":
-            found.add((openers(obj), closers(obj)))
-        else:
-            arcs = obj.arcs()
-            found.add((arc_start_vertices(arcs), arc_end_vertices(arcs)))
+    found = {opener_closer_sets(obj) for obj in enumerate_objects(EnumSpec(family, n))}
     return sorted(found, key=lambda pair: (sorted(pair[0]), sorted(pair[1])))
 
 
