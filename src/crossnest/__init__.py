@@ -11,20 +11,16 @@ from .automata import (
     export_dot,
 )
 from .diagrams import (
-    Arc,
     ColouredPermutation,
     ColouredSetPartition,
     JointHistogram,
-    Permutation,
     VertexKind,
     closers,
-    cr,
     cr_ne,
     enhanced_arcs,
     is_ncn,
     max_crossing,
     max_nesting,
-    ne,
     openers,
     parse_diagram,
     vertex_kind,
@@ -55,7 +51,6 @@ from .tableaux import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arc",
     "CapExceeded",
     "ColouredPermutation",
     "ColouredSetPartition",
@@ -65,7 +60,6 @@ __all__ = [
     "JointHistogram",
     "Multigraph",
     "PartialTableau",
-    "Permutation",
     "RationalFunction",
     "Series",
     "TableauKind",
@@ -77,7 +71,6 @@ __all__ = [
     "build_setpartition_22",
     "closers",
     "count",
-    "cr",
     "cr_ne",
     "decode",
     "encode_hesitating",
@@ -92,7 +85,6 @@ __all__ = [
     "joint_histogram",
     "max_crossing",
     "max_nesting",
-    "ne",
     "openers",
     "parse_diagram",
     "series",

@@ -6,7 +6,8 @@ whenever S(i) < i, so every stored arc is left-endpoint first and fixed
 points live above the line.  A set partition of [n] is drawn with an upper
 arc joining each pair of consecutive elements of a block.  In a coloured
 permutation position i gives its arc the colour of i; a coloured set
-partition colours each arc individually.
+partition colours each arc individually.  Arcs are plain (left, right)
+tuples everywhere.
 
 Text formats (shared with the command line):
 
@@ -22,17 +23,16 @@ a_1 < ... < a_k < b_1 < ... < b_k; the enhanced statistic relaxes the
 middle inequality to a_k <= b_1, which lets two arcs sharing a vertex
 cross.  A k-nesting has a_1 < ... < a_k <= b_k < ... < b_1 (strict
 containment; only in the enhanced sense may the innermost arc be a loop).
-cr and ne of a coloured permutation take, colour by colour, the enhanced
-statistic on the upper diagram and the plain statistic on the lower
-diagram, and report the maximum over all colours and both diagrams; a
-coloured set partition uses the plain statistic on its upper diagram.
+`cr_ne` of a coloured permutation takes, colour by colour, the enhanced
+statistics on the upper diagram and the plain statistics on the lower
+diagram, and reports the maxima over all colours and both diagrams; a
+coloured set partition uses the plain statistics on its upper diagram.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 class VertexKind(Enum):
@@ -43,33 +43,6 @@ class VertexKind(Enum):
     CLOSER = "closer"
     UPPER_TRANSITORY = "upper_transitory"
     LOWER_TRANSITORY = "lower_transitory"
-
-
-@dataclass(frozen=True)
-class Arc:
-    """A coloured arc with 1-based endpoints, stored left endpoint first."""
-
-    left: int
-    right: int
-    side: str  # "upper" or "lower"
-    colour: int = 1
-
-    def __post_init__(self) -> None:
-        if self.side not in ("upper", "lower"):
-            raise ValueError("arc side must be 'upper' or 'lower'")
-        if not (1 <= self.left <= self.right):
-            raise ValueError("arc endpoints must satisfy 1 <= left <= right")
-        if self.side == "lower" and self.left == self.right:
-            raise ValueError("lower diagrams have no loops")
-        if self.colour < 1:
-            raise ValueError("colours are 1-based")
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.left, self.right)
-
-    def is_loop(self) -> bool:
-        return self.left == self.right
 
 
 def _integers(text: str, what: str) -> list[int]:
@@ -91,68 +64,26 @@ def _split_colours(text: str) -> tuple[str, list[int] | None]:
     return body, (_integers(colour_part, "colour") if slash else None)
 
 
-class Permutation:
-    """A permutation of [n], stored in one-line notation.
-
-    >>> p = Permutation((4, 5, 3, 6, 2, 1))
-    >>> p.image(1), p.preimage(1)
-    (4, 6)
-    >>> Permutation.from_text("2 1 3").word
-    (2, 1, 3)
-    """
-
-    __slots__ = ("word",)
-
-    def __init__(self, word: Iterable[int]):
-        word = tuple(word)
-        if sorted(word) != list(range(1, len(word) + 1)):
-            raise ValueError("not a permutation of 1..n: %r" % (word,))
-        object.__setattr__(self, "word", word)
-
-    def __setattr__(self, name, value):  # immutable on purpose
-        raise AttributeError("Permutation is immutable")
-
-    def __len__(self) -> int:
-        return len(self.word)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.word == other.word
-
-    def __hash__(self) -> int:
-        return hash(("Permutation", self.word))
-
-    def __repr__(self) -> str:
-        return "Permutation(%r)" % (self.word,)
-
-    def image(self, i: int) -> int:
-        return self.word[i - 1]
-
-    def preimage(self, i: int) -> int:
-        return self.word.index(i) + 1
-
-    @classmethod
-    def from_text(cls, text: str) -> "Permutation":
-        return cls(_integers(text, "word entry"))
-
-    def to_text(self) -> str:
-        return " ".join(str(v) for v in self.word)
-
-
 class ColouredPermutation:
-    """A permutation together with a colour in 1..r for every position.
+    """A permutation of [n] in one-line notation, with a colour in 1..r for
+    every position; without colours it is the uncoloured permutation.
 
     >>> cp = ColouredPermutation.from_text("4 5 3 6 2 1 / 1 2 1 2 2 2")
     >>> cp.num_colours
     2
     >>> cp.to_text()
     '4 5 3 6 2 1 / 1 2 1 2 2 2'
+    >>> ColouredPermutation((2, 1, 3)).colours
+    (1, 1, 1)
     """
 
-    __slots__ = ("perm", "colours", "num_colours")
+    __slots__ = ("word", "colours", "num_colours")
 
     def __init__(self, word, colours=None, num_colours=None):
-        perm = word if isinstance(word, Permutation) else Permutation(word)
-        n = len(perm)
+        word = tuple(word)
+        n = len(word)
+        if sorted(word) != list(range(1, n + 1)):
+            raise ValueError("not a permutation of 1..n: %r" % (word,))
         if colours is None:
             colours = (1,) * n
         colours = tuple(colours)
@@ -164,29 +95,26 @@ class ColouredPermutation:
             num_colours = max(colours, default=1)
         if num_colours < max(colours, default=1):
             raise ValueError("num_colours smaller than a used colour")
-        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "word", word)
         object.__setattr__(self, "colours", colours)
         object.__setattr__(self, "num_colours", num_colours)
 
     def __setattr__(self, name, value):
         raise AttributeError("ColouredPermutation is immutable")
 
-    @property
-    def word(self) -> tuple[int, ...]:
-        return self.perm.word
-
     def __len__(self) -> int:
-        return len(self.perm)
+        return len(self.word)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ColouredPermutation)
             and self.word == other.word
             and self.colours == other.colours
+            and self.num_colours == other.num_colours
         )
 
     def __hash__(self) -> int:
-        return hash(("ColouredPermutation", self.word, self.colours))
+        return hash(("ColouredPermutation", self.word, self.colours, self.num_colours))
 
     def __repr__(self) -> str:
         return "ColouredPermutation(%r, %r)" % (self.word, self.colours)
@@ -222,7 +150,7 @@ class ColouredSetPartition:
     arcs sorted by left endpoint.
 
     >>> sp = ColouredSetPartition.from_text("{1,3,6},{4,5},{2}")
-    >>> [a.pair for a in sp.arcs()]
+    >>> sp.arcs()
     [(1, 3), (3, 6), (4, 5)]
     """
 
@@ -268,26 +196,26 @@ class ColouredSetPartition:
             isinstance(other, ColouredSetPartition)
             and self.blocks == other.blocks
             and self.arc_colours == other.arc_colours
+            and self.num_colours == other.num_colours
         )
 
     def __hash__(self) -> int:
-        return hash(("ColouredSetPartition", self.blocks, self.arc_colours))
+        return hash(
+            ("ColouredSetPartition", self.blocks, self.arc_colours, self.num_colours)
+        )
 
     def __repr__(self) -> str:
         return "ColouredSetPartition(%r, %r)" % (self.blocks, self.arc_colours)
 
-    def _pairs(self) -> list[tuple[int, int]]:
+    def arcs(self) -> list[tuple[int, int]]:
+        """The (left, right) arcs sorted by left endpoint, aligned with
+        ``arc_colours``."""
         pairs = []
         for b in self.blocks:
             for x, y in zip(b, b[1:]):
                 pairs.append((x, y))
         pairs.sort()
         return pairs
-
-    def arcs(self) -> tuple[Arc, ...]:
-        return tuple(
-            Arc(a, b, "upper", c) for (a, b), c in zip(self._pairs(), self.arc_colours)
-        )
 
     @classmethod
     def from_text(cls, text: str) -> "ColouredSetPartition":
@@ -338,16 +266,14 @@ def parse_diagram(text: str):
 # vertex classification
 
 
-def vertex_kind(p, i: int) -> VertexKind:
+def vertex_kind(p: ColouredPermutation, i: int) -> VertexKind:
     """Classify vertex i of a permutation by its outgoing/incoming arcs.
 
-    >>> p = Permutation((4, 5, 3, 6, 2, 1))
+    >>> p = ColouredPermutation((4, 5, 3, 6, 2, 1))
     >>> [vertex_kind(p, i).name for i in (1, 3, 4, 5)]
     ['OPENER', 'FIXED_POINT', 'UPPER_TRANSITORY', 'CLOSER']
     """
-    if isinstance(p, ColouredPermutation):
-        p = p.perm
-    return _classify(i, p.image(i), p.preimage(i))
+    return _classify(i, p.word[i - 1], p.word.index(i) + 1)
 
 
 def _classify(i: int, out: int, inc: int) -> VertexKind:
@@ -363,9 +289,7 @@ def _classify(i: int, out: int, inc: int) -> VertexKind:
     return VertexKind.LOWER_TRANSITORY
 
 
-def _vertices_of_kind(p, kind: VertexKind) -> frozenset[int]:
-    if isinstance(p, ColouredPermutation):
-        p = p.perm
+def _vertices_of_kind(p: ColouredPermutation, kind: VertexKind) -> frozenset[int]:
     inverse = [0] * (len(p) + 1)
     for i, out in enumerate(p.word, start=1):
         inverse[out] = i
@@ -376,23 +300,23 @@ def _vertices_of_kind(p, kind: VertexKind) -> frozenset[int]:
     )
 
 
-def openers(p) -> frozenset[int]:
+def openers(p: ColouredPermutation) -> frozenset[int]:
     """Vertices that only start arcs (both neighbours to the right)."""
     return _vertices_of_kind(p, VertexKind.OPENER)
 
 
-def closers(p) -> frozenset[int]:
+def closers(p: ColouredPermutation) -> frozenset[int]:
     """Vertices that only end arcs (both neighbours to the left)."""
     return _vertices_of_kind(p, VertexKind.CLOSER)
 
 
 def arc_start_vertices(arcs) -> frozenset[int]:
     """Left endpoints of an arc list (loops count as starts)."""
-    return frozenset(_pair(a)[0] for a in arcs)
+    return frozenset(a for a, _ in arcs)
 
 
 def arc_end_vertices(arcs) -> frozenset[int]:
-    return frozenset(_pair(a)[1] for a in arcs)
+    return frozenset(b for _, b in arcs)
 
 
 def opener_closer_sets(obj) -> tuple[frozenset[int], frozenset[int]]:
@@ -403,39 +327,18 @@ def opener_closer_sets(obj) -> tuple[frozenset[int], frozenset[int]]:
     (frozenset({1, 3, 4}), frozenset({3, 5, 6}))
     """
     if isinstance(obj, ColouredSetPartition):
-        pairs = obj._pairs()
+        pairs = obj.arcs()
         return arc_start_vertices(pairs), arc_end_vertices(pairs)
     return openers(obj), closers(obj)
 
 
-def arcs_of(obj) -> tuple[tuple[Arc, ...], tuple[Arc, ...]]:
-    """Split a coloured object into its (upper, lower) arc lists.
-
-    >>> cp = ColouredPermutation.from_text("4 5 3 6 2 1 / 1 2 1 2 2 2")
-    >>> [a.pair for a in arcs_of(cp)[0]]
-    [(1, 4), (2, 5), (3, 3), (4, 6)]
-    >>> [a.pair for a in arcs_of(cp)[1]]
-    [(1, 6), (2, 5)]
-    """
-    if isinstance(obj, ColouredSetPartition):
-        return obj.arcs(), ()
-    upper: list[Arc] = []
-    lower: list[Arc] = []
-    for i, (pairs, enhanced) in enumerate(colour_slices(obj)):
-        side, arcs = ("upper", upper) if enhanced else ("lower", lower)
-        arcs.extend(Arc(a, b, side, i // 2 + 1) for a, b in pairs)
-    upper.sort(key=lambda a: a.pair)
-    lower.sort(key=lambda a: a.pair)
-    return tuple(upper), tuple(lower)
-
-
-def enhanced_arcs(sp: ColouredSetPartition) -> tuple[Arc, ...]:
+def enhanced_arcs(sp: ColouredSetPartition) -> list[tuple[int, int]]:
     """The enhanced view of a set partition: singleton blocks become loops.
 
     Only defined for single-coloured partitions when singletons are present
     (a loop born from a block has no arc to take a colour from).
 
-    >>> [a.pair for a in enhanced_arcs(ColouredSetPartition.from_text("{1},{2,3}"))]
+    >>> enhanced_arcs(ColouredSetPartition.from_text("{1},{2,3}"))
     [(1, 1), (2, 3)]
     """
     has_singleton = any(len(b) == 1 for b in sp.blocks)
@@ -443,29 +346,21 @@ def enhanced_arcs(sp: ColouredSetPartition) -> tuple[Arc, ...]:
         raise ValueError(
             "enhanced view of a multi-coloured partition with singletons is ambiguous"
         )
-    arcs = list(sp.arcs())
+    arcs = sp.arcs()
     for b in sp.blocks:
         if len(b) == 1:
-            arcs.append(Arc(b[0], b[0], "upper", 1))
-    arcs.sort(key=lambda a: a.pair)
-    return tuple(arcs)
+            arcs.append((b[0], b[0]))
+    arcs.sort()
+    return arcs
 
 
 # ---------------------------------------------------------------------------
 # crossing / nesting statistics
 
 
-def _pair(arc) -> tuple[int, int]:
-    if isinstance(arc, Arc):
-        return arc.pair
-    left, right = arc
-    return (left, right)
-
-
 def _pairs(arcs, allow_loops: bool) -> list[tuple[int, int]]:
     pairs = []
-    for arc in arcs:
-        a, b = _pair(arc)
+    for a, b in arcs:
         if not (1 <= a <= b):
             raise ValueError("bad arc endpoints (%d, %d)" % (a, b))
         if a == b and not allow_loops:
@@ -589,9 +484,7 @@ def colour_slices(obj) -> list[tuple[list[tuple[int, int]], bool]]:
     >>> colour_slices(ColouredPermutation.from_text("2 1 3 / 1 1 2"))
     [([(1, 2)], True), ([(1, 2)], False), ([(3, 3)], True), ([], False)]
     """
-    if isinstance(obj, (Permutation, ColouredPermutation)):
-        if isinstance(obj, Permutation):
-            obj = ColouredPermutation(obj)
+    if isinstance(obj, ColouredPermutation):
         upper: list[list[tuple[int, int]]] = [[] for _ in range(obj.num_colours)]
         lower: list[list[tuple[int, int]]] = [[] for _ in range(obj.num_colours)]
         for i, out in enumerate(obj.word, start=1):
@@ -607,40 +500,21 @@ def colour_slices(obj) -> list[tuple[list[tuple[int, int]], bool]]:
         return slices
     if isinstance(obj, ColouredSetPartition):
         per: list[list[tuple[int, int]]] = [[] for _ in range(obj.num_colours)]
-        for (a, b), c in zip(obj._pairs(), obj.arc_colours):
+        for (a, b), c in zip(obj.arcs(), obj.arc_colours):
             per[c - 1].append((a, b))
         return [(pairs, False) for pairs in per]
     raise TypeError("expected a coloured permutation or set partition")
 
 
-def cr(obj) -> int:
-    """Largest monochromatic crossing anywhere in the object.
-
-    >>> cr(ColouredPermutation.from_text("4 5 3 6 2 1 / 1 2 1 2 2 2"))
-    2
-    >>> cr(ColouredPermutation((1, 2, 3)))
-    1
-    """
-    return max(
-        (max_crossing(pairs, enhanced) for pairs, enhanced in colour_slices(obj)),
-        default=0,
-    )
-
-
-def ne(obj) -> int:
-    """Largest monochromatic nesting anywhere in the object.
-
-    >>> ne(ColouredPermutation.from_text("4 5 3 6 2 1 / 1 2 1 2 2 2"))
-    2
-    """
-    return max(
-        (max_nesting(pairs, enhanced) for pairs, enhanced in colour_slices(obj)),
-        default=0,
-    )
-
-
 def cr_ne(obj) -> tuple[int, int]:
-    """Both statistics in one slicing pass."""
+    """The largest monochromatic crossing and nesting anywhere in the
+    object, (cr, ne), in one slicing pass.
+
+    >>> cr_ne(ColouredPermutation.from_text("4 5 3 6 2 1 / 1 2 1 2 2 2"))
+    (2, 2)
+    >>> cr_ne(ColouredPermutation((1, 2, 3)))
+    (1, 1)
+    """
     slices = colour_slices(obj)
     c = max((max_crossing(p, e) for p, e in slices), default=0)
     n = max((max_nesting(p, e) for p, e in slices), default=0)

@@ -27,7 +27,6 @@ from __future__ import annotations
 from .diagrams import (
     ColouredPermutation,
     ColouredSetPartition,
-    Permutation,
     colour_slices,
 )
 from .errors import ConsistencyError
@@ -66,8 +65,6 @@ def involute(obj):
     >>> involute(cp).to_text()
     '3 6 4 5 1 2 / 1 2 1 2 2 2'
     """
-    if isinstance(obj, Permutation):
-        obj = ColouredPermutation(obj)
     if not isinstance(obj, (ColouredPermutation, ColouredSetPartition)):
         raise TypeError("expected a coloured permutation or set partition")
     permutation = isinstance(obj, ColouredPermutation)

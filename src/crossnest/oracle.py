@@ -72,10 +72,17 @@ class EnumSpec:
         for bound in (self.j, self.k):
             if bound is not None and bound < 2:
                 raise ValueError("bounds j, k must be at least 2")
-        if self.openers is not None:
-            object.__setattr__(self, "openers", frozenset(self.openers))
-        if self.closers is not None:
-            object.__setattr__(self, "closers", frozenset(self.closers))
+        for name in ("openers", "closers"):
+            vertices = getattr(self, name)
+            if vertices is None:
+                continue
+            vertices = frozenset(vertices)
+            for v in sorted(vertices):
+                if not 1 <= v <= self.n:
+                    raise ValueError(
+                        "%s vertex %d is outside 1..%d" % (name, v, self.n)
+                    )
+            object.__setattr__(self, name, vertices)
 
 
 def workload(spec: EnumSpec) -> int:

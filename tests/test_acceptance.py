@@ -179,9 +179,9 @@ def test_criterion_7_tableau_goldens_and_round_trip():
     # decode(encode(...)) is the identity on every diagram with up to 8 points
     for n in range(9):
         for obj in oracle.enumerate_objects(EnumSpec("setpartition", n)):
-            plain = [arc.pair for arc in obj.arcs()]
+            plain = obj.arcs()
             assert sorted(decode(encode_vacillating(plain, n))) == sorted(plain)
-            enhanced = [arc.pair for arc in enhanced_arcs(obj)]
+            enhanced = enhanced_arcs(obj)
             assert sorted(decode(encode_hesitating(enhanced, n))) == sorted(
                 enhanced
             )

@@ -65,14 +65,19 @@ def test_count_refined(capsys):
 
 
 @pytest.mark.parametrize("flag", ["--openers", "--closers"])
-@pytest.mark.parametrize("value,bad", [("1,a", "a"), ("1,,2", "")])
+@pytest.mark.parametrize(
+    "value,bad", [("1,a", "a"), ("1,,2", ""), ("9", 9), ("-1,1", -1)]
+)
 def test_count_names_a_bad_vertex_entry(capsys, flag, value, bad):
     code, out, err = run_cli(
-        capsys, "count", "--family", "permutation", "--n", "3", flag, value
+        capsys, "count", "--family", "permutation", "--n", "3", flag + "=" + value
     )
     assert code == 1
     assert out == ""
-    assert err == "error: %s entry %r is not an integer\n" % (flag, bad)
+    if isinstance(bad, int):  # an integer, but not a vertex of the diagram
+        assert err == "error: %s vertex %d is outside 1..3\n" % (flag[2:], bad)
+    else:
+        assert err == "error: %s entry %r is not an integer\n" % (flag, bad)
 
 
 def test_count_histogram_json(capsys):

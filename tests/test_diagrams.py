@@ -4,17 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossnest.diagrams import (
-    Arc,
     ColouredPermutation,
     ColouredSetPartition,
     JointHistogram,
-    Permutation,
     VertexKind,
     arc_end_vertices,
     arc_start_vertices,
-    arcs_of,
     closers,
-    cr,
     cr_ne,
     enhanced_arcs,
     is_ncn,
@@ -22,7 +18,6 @@ from crossnest.diagrams import (
     max_crossing_exhaustive,
     max_nesting,
     max_nesting_exhaustive,
-    ne,
     opener_closer_sets,
     openers,
     parse_diagram,
@@ -32,19 +27,16 @@ from crossnest.oracle import EnumSpec, enumerate_objects
 
 
 def test_permutation_rejects_non_bijections():
-    with pytest.raises(ValueError):
-        Permutation([1, 1, 3])
-    with pytest.raises(ValueError):
-        Permutation([0, 1])
-    with pytest.raises(ValueError):
-        Permutation([2, 3])
+    for word in ([1, 1, 3], [0, 1], [2, 3]):
+        with pytest.raises(ValueError, match="not a permutation of 1..n"):
+            ColouredPermutation(word)
 
 
 def test_permutation_round_trip():
-    p = Permutation.from_text("4 5 3 6 2 1")
-    assert p.to_text() == "4 5 3 6 2 1"
-    assert p.image(1) == 4
-    assert p.preimage(4) == 1
+    p = ColouredPermutation.from_text("4 5 3 6 2 1")
+    assert p == ColouredPermutation((4, 5, 3, 6, 2, 1))
+    assert p.word == (4, 5, 3, 6, 2, 1)
+    assert ColouredPermutation.from_text(p.to_text()) == p
 
 
 def test_coloured_permutation_defaults_to_one_colour():
@@ -96,7 +88,7 @@ KINDS_453621 = [
 
 
 def test_vertex_kinds_of_worked_permutation():
-    p = Permutation([4, 5, 3, 6, 2, 1])
+    p = ColouredPermutation([4, 5, 3, 6, 2, 1])
     assert [vertex_kind(p, i) for i in range(1, 7)] == KINDS_453621
     assert openers(p) == frozenset({1, 2})
     assert closers(p) == frozenset({5, 6})
@@ -105,7 +97,7 @@ def test_vertex_kinds_of_worked_permutation():
 @given(st.integers(0, 60).flatmap(lambda n: st.permutations(range(1, n + 1))))
 @settings(max_examples=200)
 def test_opener_and_closer_sets_match_vertex_kind(word):
-    p = Permutation(word)
+    p = ColouredPermutation(word)
     kinds = {i: vertex_kind(p, i) for i in range(1, len(word) + 1)}
     assert openers(p) == {i for i, kind in kinds.items() if kind is VertexKind.OPENER}
     assert closers(p) == {i for i, kind in kinds.items() if kind is VertexKind.CLOSER}
@@ -113,34 +105,25 @@ def test_opener_and_closer_sets_match_vertex_kind(word):
 
 def test_lower_transitory_kind():
     # 3 1 2: vertex 2 is entered from above (1 <- sigma) and leaves below
-    p = Permutation([3, 1, 2])
+    p = ColouredPermutation([3, 1, 2])
     assert vertex_kind(p, 2) == VertexKind.LOWER_TRANSITORY
 
 
-def test_arcs_of_worked_permutation():
-    upper, lower = arcs_of(ColouredPermutation([4, 5, 3, 6, 2, 1], [1, 2, 1, 2, 2, 2]))
-    assert {(a.pair, a.colour) for a in upper} == {
-        ((1, 4), 1),
-        ((2, 5), 2),
-        ((3, 3), 1),
-        ((4, 6), 2),
-    }
-    assert {(a.pair, a.colour) for a in lower} == {((2, 5), 2), ((1, 6), 2)}
-
-
 def test_arc_validation():
-    with pytest.raises(ValueError):
-        Arc(3, 2, "upper")
-    with pytest.raises(ValueError):
-        Arc(2, 2, "lower")
-    with pytest.raises(ValueError):
-        Arc(1, 2, "sideways")
+    for statistic in (max_crossing, max_nesting):
+        for enhanced in (False, True):
+            with pytest.raises(ValueError, match=r"bad arc endpoints \(3, 2\)"):
+                statistic([(3, 2)], enhanced)
+            with pytest.raises(ValueError, match=r"bad arc endpoints \(0, 2\)"):
+                statistic([(0, 2)], enhanced)
+        with pytest.raises(ValueError, match=r"loop \(2, 2\) in a plain diagram"):
+            statistic([(1, 3), (2, 2)])
+        assert statistic([(2, 2)], enhanced=True) == 1
 
 
 def test_enhanced_arcs_add_loops_at_singletons():
     sp = ColouredSetPartition([[1, 3], [2]])
-    pairs = sorted(a.pair for a in enhanced_arcs(sp))
-    assert pairs == [(1, 3), (2, 2)]
+    assert enhanced_arcs(sp) == [(1, 3), (2, 2)]
 
 
 def test_enhanced_arcs_refuse_coloured_singletons():
@@ -177,21 +160,19 @@ def test_empty_diagram_statistics():
 
 
 def test_identity_has_unit_statistics():
-    assert cr_ne(Permutation([1, 2, 3])) == (1, 1)
+    assert cr_ne(ColouredPermutation([1, 2, 3])) == (1, 1)
 
 
 def test_worked_permutation_statistics():
     cp = ColouredPermutation.from_text("4 5 3 6 2 1 / 1 2 1 2 2 2")
-    assert cr(cp) == 2
-    assert ne(cp) == 2
+    assert cr_ne(cp) == (2, 2)
 
 
 def test_statistics_split_by_colour():
     # all arcs one colour: (1,4),(2,5),(4,6) is an enhanced 3-crossing,
     # which the 2-colouring above breaks apart
     cp = ColouredPermutation([4, 5, 3, 6, 2, 1])
-    assert cr(cp) == 3
-    assert ne(cp) == 2
+    assert cr_ne(cp) == (3, 2)
 
 
 def test_is_ncn():
@@ -247,8 +228,7 @@ def _mirror_partition(sp: ColouredSetPartition) -> ColouredSetPartition:
     n = len(sp)
     blocks = [[n + 1 - v for v in block] for block in sp.blocks]
     coloured = sorted(
-        ((n + 1 - b, n + 1 - a), arc.colour)
-        for arc, (a, b) in ((arc, arc.pair) for arc in sp.arcs())
+        ((n + 1 - b, n + 1 - a), c) for (a, b), c in zip(sp.arcs(), sp.arc_colours)
     )
     return ColouredSetPartition(
         blocks, [c for _, c in coloured], sp.num_colours

@@ -155,6 +155,21 @@ def test_number_of_colours_is_preserved():
     assert involute(cp).num_colours == 3
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda r: ColouredPermutation([2, 1], [1, 1], r),
+        lambda r: ColouredSetPartition([[1, 2], [3]], [1], r),
+    ],
+    ids=["permutation", "setpartition"],
+)
+def test_number_of_colours_is_part_of_equality(make):
+    """An image that lost its colour count is not equal to the input."""
+    assert make(3) != make(1)
+    assert hash(make(3)) != hash(make(1))
+    assert make(3) == make(3) and hash(make(3)) == hash(make(3))
+
+
 def test_refined_distribution_is_symmetric():
     """Within every (openers, closers) class the involution pairs off
     diagrams, so the joint (cr, ne) distribution is exchange-symmetric."""
@@ -214,4 +229,8 @@ def test_random_set_partition_laws(obj):
 @given(st.one_of(coloured_permutations(), coloured_set_partitions()))
 @settings(max_examples=300, deadline=None)
 def test_random_text_round_trip(obj):
-    assert parse_diagram(obj.to_text()) == obj
+    back = parse_diagram(obj.to_text())
+    assert back.to_json_dict() == obj.to_json_dict()
+    # the text lists the colours used, not how many were on offer
+    used = obj.colours if isinstance(obj, ColouredPermutation) else obj.arc_colours
+    assert back.num_colours == max(used, default=1)
