@@ -117,7 +117,9 @@ class ColouredPermutation:
         return hash(("ColouredPermutation", self.word, self.colours, self.num_colours))
 
     def __repr__(self) -> str:
-        return "ColouredPermutation(%r, %r)" % (self.word, self.colours)
+        return "ColouredPermutation(%r, %r, %r)" % (
+            self.word, self.colours, self.num_colours
+        )
 
     @classmethod
     def from_text(cls, text: str) -> "ColouredPermutation":
@@ -205,7 +207,9 @@ class ColouredSetPartition:
         )
 
     def __repr__(self) -> str:
-        return "ColouredSetPartition(%r, %r)" % (self.blocks, self.arc_colours)
+        return "ColouredSetPartition(%r, %r, %r)" % (
+            self.blocks, self.arc_colours, self.num_colours
+        )
 
     def arcs(self) -> list[tuple[int, int]]:
         """The (left, right) arcs sorted by left endpoint, aligned with
@@ -397,9 +401,13 @@ def max_crossing(arcs, enhanced: bool = False) -> int:
     >>> max_crossing([(1, 3), (3, 5)]), max_crossing([(1, 3), (3, 5)], enhanced=True)
     (1, 2)
     """
-    pairs = _pairs(arcs, allow_loops=enhanced)
-    if not pairs:
-        return 0
+    return _max_crossing(_pairs(arcs, allow_loops=enhanced), enhanced)
+
+
+def _max_crossing(pairs: list[tuple[int, int]], enhanced: bool) -> int:
+    """`max_crossing` of pairs that are already valid for the reading."""
+    if len(pairs) < 2:
+        return len(pairs)
     best = 1
     for _, s in pairs:
         if enhanced:
@@ -423,15 +431,21 @@ def max_nesting(arcs, enhanced: bool = False) -> int:
     >>> max_nesting([(1, 3), (2, 2)], enhanced=True)
     2
     """
-    pairs = _pairs(arcs, allow_loops=enhanced)
-    pairs.sort(key=lambda p: (p[0], -p[1]))
+    return _max_nesting(_pairs(arcs, allow_loops=enhanced))
+
+
+def _max_nesting(pairs: list[tuple[int, int]]) -> int:
+    """`max_nesting` of pairs that are already valid for the reading."""
+    if len(pairs) < 2:
+        return len(pairs)
+    pairs = sorted(pairs, key=lambda p: (p[0], -p[1]))
     dp = [1] * len(pairs)
     for i, (a, b) in enumerate(pairs):
         for j in range(i):
             aj, bj = pairs[j]
             if aj < a and b < bj and dp[j] + 1 > dp[i]:
                 dp[i] = dp[j] + 1
-    return max(dp, default=0)
+    return max(dp)
 
 
 def max_crossing_exhaustive(arcs, enhanced: bool = False) -> int:
@@ -516,8 +530,8 @@ def cr_ne(obj) -> tuple[int, int]:
     (1, 1)
     """
     slices = colour_slices(obj)
-    c = max((max_crossing(p, e) for p, e in slices), default=0)
-    n = max((max_nesting(p, e) for p, e in slices), default=0)
+    c = max((_max_crossing(p, e) for p, e in slices), default=0)
+    n = max((_max_nesting(p) for p, _ in slices), default=0)
     return (c, n)
 
 
@@ -532,9 +546,9 @@ def is_ncn(obj, j: int, k: int) -> bool:
     if j < 2 or k < 2:
         raise ValueError("bounds j, k must be at least 2")
     for pairs, enhanced in colour_slices(obj):
-        if max_crossing(pairs, enhanced) >= j:
+        if _max_crossing(pairs, enhanced) >= j:
             return False
-        if max_nesting(pairs, enhanced) >= k:
+        if _max_nesting(pairs) >= k:
             return False
     return True
 

@@ -13,11 +13,13 @@ Every spec carries bound and refinement filters, all optional:
   exactly the given vertex set — for permutations these are the strict
   opener/closer vertices, for set partitions the arc start/end vertex sets.
 
-`count` walks only the uncoloured objects: a colouring is admissible
-exactly when each colour class is, so it counts each object's admissible
-colourings by splitting its arcs into colour classes.  The per-colouring
-enumerator behind `enumerate_objects` and `joint_histogram` is the slow
-reference it is tested against.
+`count` and `joint_histogram` walk only the uncoloured objects.  A
+colouring is admissible exactly when each colour class is, so `count`
+counts each object's admissible colourings by splitting its arcs into
+colour classes.  Relabelling colours keeps cr and ne, so `joint_histogram`
+scores one colouring per split of the arcs into classes and weights it by
+the number of colourings with those classes.  `enumerate_objects` is the
+only per-colouring enumerator, the slow reference both are tested against.
 
 Workloads are estimated before a single object is generated: n! * r^n for
 permutations, sum over block counts of S(n, b) * r^(n-b) for set
@@ -38,10 +40,10 @@ from .diagrams import (
     ColouredPermutation,
     ColouredSetPartition,
     JointHistogram,
+    _max_crossing,
+    _max_nesting,
     colour_slices,
     cr_ne,
-    max_crossing,
-    max_nesting,
     opener_closer_sets,
 )
 from .errors import CapExceeded
@@ -114,13 +116,15 @@ def _check_cap(spec: EnumSpec) -> None:
 
 
 def _admits(spec: EnumSpec, obj) -> bool:
-    if spec.j is not None or spec.k is not None:
-        c, n = cr_ne(obj)
-        if spec.j is not None and c >= spec.j:
-            return False
-        if spec.k is not None and n >= spec.k:
-            return False
+    if (spec.j is not None or spec.k is not None) and not _bounded(spec, cr_ne(obj)):
+        return False
     return _refined(spec, obj)
+
+
+def _bounded(spec: EnumSpec, stats: tuple[int, int]) -> bool:
+    """Whether (cr, ne) passes the spec's bounds, cr < j and ne < k."""
+    c, n = stats
+    return (spec.j is None or c < spec.j) and (spec.k is None or n < spec.k)
 
 
 def _refined(spec: EnumSpec, obj) -> bool:
@@ -135,49 +139,51 @@ def _refined(spec: EnumSpec, obj) -> bool:
     return True
 
 
+def _rgs(n: int, limit: int, prefix=(), top=-1) -> Iterator[tuple[int, ...]]:
+    """Restricted growth strings of length n with values below `limit`, in
+    lexicographic order: each value is at most one more than the largest
+    value before it (`top`, over the `prefix` built so far)."""
+    if len(prefix) == n:
+        yield prefix
+        return
+    for v in range(min(top + 2, limit)):
+        yield from _rgs(n, limit, prefix + (v,), max(top, v))
+
+
 def _rgs_blocks(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Set partitions of [n] via restricted growth strings, lexicographic."""
-    if n == 0:
-        yield ()
-        return
-    rgs = [0] * n
-    while True:
-        nblocks = max(rgs) + 1
-        blocks: list[list[int]] = [[] for _ in range(nblocks)]
+    for rgs in _rgs(n, n):
+        blocks: list[list[int]] = [[] for _ in range(max(rgs, default=-1) + 1)]
         for v, b in enumerate(rgs, start=1):
             blocks[b].append(v)
         yield tuple(tuple(b) for b in blocks)
-        i = n - 1
-        while i > 0:
-            if rgs[i] <= max(rgs[:i]):
-                rgs[i] += 1
-                for jdx in range(i + 1, n):
-                    rgs[jdx] = 0
-                break
-            i -= 1
-        else:
-            return
+
+
+def _falling(r: int) -> list[int]:
+    """falling[b] = r(r-1)...(r-b+1) for b = 0..r: the colourings that give
+    b colour classes distinct colours."""
+    falling = [1]
+    for b in range(r):
+        falling.append(falling[-1] * (r - b))
+    return falling
 
 
 def enumerate_objects(spec: EnumSpec) -> Iterator:
-    """Stream the admissible objects in the documented order."""
+    """Stream the admissible objects in the documented order, each offering
+    the spec's r colours."""
     _check_cap(spec)
-    yield from _enumerate_unguarded(spec)
-
-
-def _enumerate_unguarded(spec: EnumSpec) -> Iterator:
     n, r = spec.n, spec.colours
     if spec.family == "permutation":
         for word in _lex_permutations(range(1, n + 1)):
             for cols in product(range(1, r + 1), repeat=n):
-                obj = ColouredPermutation(word, cols)
+                obj = ColouredPermutation(word, cols, r)
                 if _admits(spec, obj):
                     yield obj
         return
     for blocks in _rgs_blocks(n):
         narcs = sum(len(b) - 1 for b in blocks)
         for cols in product(range(1, r + 1), repeat=narcs):
-            obj = ColouredSetPartition(blocks, cols)
+            obj = ColouredSetPartition(blocks, cols, r)
             if _admits(spec, obj):
                 yield obj
 
@@ -225,15 +231,13 @@ def _colourings(spec: EnumSpec, slices) -> int:
         ok = admissible.get(mask)
         if ok is None:
             pairs = [arcs[b][0] for b in range(len(arcs)) if mask >> b & 1]
-            ok = (spec.j is None or max_crossing(pairs, enhanced) < spec.j) and (
-                spec.k is None or max_nesting(pairs, enhanced) < spec.k
+            ok = (spec.j is None or _max_crossing(pairs, enhanced) < spec.j) and (
+                spec.k is None or _max_nesting(pairs) < spec.k
             )
             admissible[mask] = ok
         return ok
 
-    falling = [1]  # falling[b] = r(r-1)...(r-b+1)
-    for b in range(r):
-        falling.append(falling[-1] * (r - b))
+    falling = _falling(r)
     classes: list[int] = []
 
     def place(i: int) -> int:
@@ -282,10 +286,23 @@ def _count_chunk(args) -> int:
 
 
 def joint_histogram(spec: EnumSpec) -> JointHistogram:
-    """Counts of admissible objects by (cr, ne) pair."""
+    """Counts of admissible objects by (cr, ne) pair.
+
+    Walks the uncoloured objects.  Each split of an object's arcs into b
+    colour classes is scored once, on its colour word in first-use order,
+    and stands for the r(r-1)...(r-b+1) colourings that give its classes
+    distinct colours: relabelling colours keeps cr and ne.
+    """
+    _check_cap(spec)
+    make = ColouredPermutation if spec.family == "permutation" else ColouredSetPartition
+    falling = _falling(spec.colours)
     hist = JointHistogram()
-    for obj in enumerate_objects(spec):
-        hist.add(cr_ne(obj))
+    for key, slices in _uncoloured(spec, None):
+        narcs = sum(len(pairs) for pairs, _ in slices)
+        for word in _rgs(narcs, spec.colours):
+            stats = cr_ne(make(key, [c + 1 for c in word]))
+            if _bounded(spec, stats):
+                hist.add(stats, falling[max(word, default=-1) + 1])
     return hist
 
 

@@ -11,6 +11,7 @@ from crossnest.diagrams import (
     arc_end_vertices,
     arc_start_vertices,
     closers,
+    colour_slices,
     cr_ne,
     enhanced_arcs,
     is_ncn,
@@ -24,6 +25,20 @@ from crossnest.diagrams import (
     vertex_kind,
 )
 from crossnest.oracle import EnumSpec, enumerate_objects
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        ColouredPermutation([2, 1], [1, 1], 3),
+        ColouredPermutation([3, 1, 2], [2, 1, 2], 4),
+        ColouredSetPartition([[1, 3], [2]], [1], 2),
+        ColouredSetPartition([[1, 4], [2, 3], [5]], [2, 1], 3),
+    ],
+)
+def test_repr_names_the_colour_count(obj):
+    assert repr(obj).endswith(", %d)" % obj.num_colours)
+    assert eval(repr(obj)) == obj
 
 
 def test_permutation_rejects_non_bijections():
@@ -222,6 +237,42 @@ def test_colour_relabelling_preserves_statistics(word, cols, relabel):
         word, [relabel[c - 1] for c in cols], num_colours=3
     )
     assert cr_ne(renamed) == cr_ne(cp)
+
+
+@st.composite
+def coloured_objects(draw, max_size=12):
+    """A coloured permutation or set partition of size at most `max_size`
+    offering one to three colours."""
+    n = draw(st.integers(0, max_size))
+    r = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        word = draw(st.permutations(range(1, n + 1)))
+        cols = draw(st.lists(st.integers(1, r), min_size=n, max_size=n))
+        return ColouredPermutation(word, cols, r)
+    rgs: list[int] = []
+    for _ in range(n):
+        rgs.append(draw(st.integers(0, max(rgs, default=-1) + 1)))
+    blocks: dict[int, list[int]] = {}
+    for v, b in enumerate(rgs, start=1):
+        blocks.setdefault(b, []).append(v)
+    narcs = n - len(blocks)
+    cols = draw(st.lists(st.integers(1, r), min_size=narcs, max_size=narcs))
+    return ColouredSetPartition(list(blocks.values()), cols, r)
+
+
+@given(coloured_objects())
+@settings(max_examples=200)
+def test_statistics_match_the_checked_path(obj):
+    """`cr_ne` and `is_ncn` skip the arc checks on the slices they build;
+    they must agree with the public, checked statistics slice by slice."""
+    slices = colour_slices(obj)
+    want = (
+        max((max_crossing(p, e) for p, e in slices), default=0),
+        max((max_nesting(p, e) for p, e in slices), default=0),
+    )
+    assert cr_ne(obj) == want
+    for j, k in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        assert is_ncn(obj, j, k) == (want[0] < j and want[1] < k)
 
 
 def _mirror_partition(sp: ColouredSetPartition) -> ColouredSetPartition:

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossnest.diagrams import cr_ne, is_ncn, opener_closer_sets
+from crossnest.diagrams import (
+    ColouredPermutation,
+    ColouredSetPartition,
+    JointHistogram,
+    cr_ne,
+    is_ncn,
+    opener_closer_sets,
+)
 from crossnest import oracle
 from crossnest.errors import CapExceeded
 from crossnest.oracle import (
@@ -49,6 +56,16 @@ def test_documented_partition_order():
         "{1},{2,3} / 1",
         "{1},{2},{3}",
     ]
+
+
+def test_enumerated_objects_offer_every_colour():
+    perms = set(enumerate_objects(EnumSpec("permutation", 2, colours=2)))
+    assert ColouredPermutation([1, 2], [1, 1], 2) in perms
+    assert ColouredPermutation([1, 2], [1, 1]) not in perms
+    parts = set(enumerate_objects(EnumSpec("setpartition", 3, colours=2)))
+    assert ColouredSetPartition([[1, 2], [3]], [1], 2) in parts
+    assert ColouredSetPartition([[1], [2], [3]], [], 2) in parts
+    assert all(obj.num_colours == 2 for obj in perms | parts)
 
 
 @given(
@@ -178,6 +195,58 @@ def test_joint_histogram_is_symmetric_on_the_full_space():
     hist = joint_histogram(EnumSpec("setpartition", 6))
     assert hist.total() == 203  # Bell number
     assert hist.is_symmetric()
+
+
+def _reference_histogram(spec):
+    hist = JointHistogram()
+    for obj in enumerate_objects(spec):
+        hist.add(cr_ne(obj))
+    return hist
+
+
+@pytest.mark.parametrize(
+    "family,n,r",
+    [
+        (family, n, r)
+        for family in ("permutation", "setpartition")
+        for n in range(6)
+        for r in (1, 2, 3, 4)
+        if r < 4 or n <= 4
+    ],
+)
+def test_joint_histogram_matches_the_enumerator(family, n, r):
+    """The class-split histogram against one coloured object at a time.
+    The bounded references keep the pairs of the full one that pass."""
+    full = _reference_histogram(EnumSpec(family, n, colours=r))
+    for j, k in BOUNDS:
+        spec = EnumSpec(family, n, colours=r, j=j, k=k)
+        want = JointHistogram(
+            {
+                (c, e): m
+                for (c, e), m in full.counts.items()
+                if (j is None or c < j) and (k is None or e < k)
+            }
+        )
+        hist = joint_histogram(spec)
+        assert hist == want, (j, k)
+        assert hist.total() == count(spec), (j, k)
+
+
+@pytest.mark.parametrize(
+    "family,n,openers,closers",
+    [("permutation", 5, {1, 2}, {4, 5}), ("setpartition", 5, {1, 2}, {4, 5})],
+)
+@pytest.mark.parametrize("j,k", [(None, None), (2, 3)])
+def test_refined_joint_histogram_matches_the_enumerator(family, n, openers, closers, j, k):
+    spec = EnumSpec(
+        family, n, colours=2, j=j, k=k,
+        openers=frozenset(openers), closers=frozenset(closers),
+    )
+    want = _reference_histogram(spec)
+    assert want.total() > 0
+    hist = joint_histogram(spec)
+    assert hist == want
+    assert hist.total() == count(spec)
 
 
 def test_colouring_counts_by_word():
