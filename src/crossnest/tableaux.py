@@ -23,6 +23,12 @@ the top-left corner and closes the hole by jeu de taquin.  Both are
 reversible from the shape difference alone, which is what `decode` uses:
 a sequence of shapes of the right flavour determines the diagram with no
 fillings required.
+
+`validate_sequence` checks a sequence in one pass from the empty shape and
+returns its steps, the box each step adds or removes; `decode` undoes those
+steps right to left, so no step is classified twice.  Sequences the
+encoders and `transpose_sequence` build are tuples throughout already and
+skip the normalising `TableauSequence.__post_init__`.
 """
 from __future__ import annotations
 
@@ -278,57 +284,97 @@ class TableauSequence:
         }
 
 
-def _shape_step(prev: Shape, cur: Shape):
-    """Classify one step: ('same', None), ('add', cell) or ('remove', cell)."""
-    if prev == cur:
-        return ("same", None)
-    if sum(cur) == sum(prev) + 1:
-        longer, shorter, tag = cur, prev, "add"
-    elif sum(cur) == sum(prev) - 1:
-        longer, shorter, tag = prev, cur, "remove"
-    else:
-        raise ValueError("consecutive shapes differ by more than one box")
-    for r in range(len(longer)):
-        s = shorter[r] if r < len(shorter) else 0
-        if longer[r] != s:
-            if longer[r] != s + 1 or longer[:r] != shorter[:r]:
-                raise ValueError("consecutive shapes differ by more than one box")
-            if shorter[r + 1 :] != longer[r + 1 :]:
-                raise ValueError("consecutive shapes differ by more than one box")
-            return (tag, (r, s))
-    raise ValueError("shapes unexpectedly equal")
+def _built(kind: TableauKind, n: int, shapes, fillings) -> TableauSequence:
+    """A sequence from shapes and fillings that are tuples all the way down
+    already, skipping the normalising `__post_init__`."""
+    seq = object.__new__(TableauSequence)
+    seq.__dict__.update(kind=kind, n=n, shapes=shapes, fillings=fillings)
+    return seq
 
 
-def validate_sequence(seq: TableauSequence) -> None:
-    """Raise ValueError unless the shape sequence fits its declared kind."""
+def _step(prev: Shape, cur: Shape):
+    """Classify one step from the partition `prev`: ('add', cell) or
+    ('remove', cell) when `cur` is a partition one box away, else None.
+
+    Only the changed row can break the partition property, since `prev` has
+    it; the caller has already ruled out `cur == prev`.
+    """
+    lp, lc = len(prev), len(cur)
+    r = 0
+    while r < lp and r < lc and prev[r] == cur[r]:
+        r += 1
+    a = prev[r] if r < lp else 0
+    b = cur[r] if r < lc else 0
+    if prev[r + 1 :] != cur[r + 1 :]:
+        return None
+    if b == a + 1 and (r == 0 or cur[r - 1] >= b):
+        return ("add", (r, a))
+    if b == a - 1 and (b > 0 or r == lc) and (r + 1 >= lc or cur[r + 1] <= b):
+        return ("remove", (r, b))
+    return None
+
+
+def _fault(shapes, start: int, message: str):
+    """Raise the fault `validate_sequence` reports first: a non-partition
+    shape (those before `start` are known good), then a nonempty first or
+    last shape, then `message`."""
+    for s in shapes[start:]:
+        if not is_partition_shape(s):
+            raise ValueError("not a partition shape: %r" % (s,))
+    if shapes[0] != () or shapes[-1] != ():
+        raise ValueError("sequences must start and end empty")
+    raise ValueError(message)
+
+
+def validate_sequence(seq: TableauSequence) -> list:
+    """Raise ValueError unless the shape sequence fits its declared kind;
+    return its steps, ('same', None), ('add', cell) or ('remove', cell),
+    one per consecutive pair of shapes.
+
+    One pass from the empty shape classifies every step.  A legal one-box
+    step from a partition keeps a partition if its changed row does, so
+    that row is all the partition check reads.
+
+    >>> validate_sequence(encode_semioscillating([(1, 2)], 2))
+    [('add', (0, 0)), ('remove', (0, 0))]
+    """
     shapes = seq.shapes
     if seq.n < 0:
         raise ValueError("n must be nonnegative")
-    steps = _HALF_STEPS[seq.kind]
-    per_vertex = len(steps)
+    half_steps = _HALF_STEPS[seq.kind]
+    per_vertex = len(half_steps)
     if len(shapes) != per_vertex * seq.n + 1:
         raise ValueError(
             "expected %d shapes for %s on %d vertices, got %d"
             % (per_vertex * seq.n + 1, seq.kind.value, seq.n, len(shapes))
         )
-    for s in shapes:
-        if not is_partition_shape(s):
-            raise ValueError("not a partition shape: %r" % (s,))
-    if shapes[0] != () or shapes[-1] != ():
-        raise ValueError("sequences must start and end empty")
+    if shapes[0] != ():
+        _fault(shapes, 0, "sequences must start and end empty")
+    steps = []
+    prev = ()
     for i in range(1, len(shapes)):
-        tag, _ = _shape_step(shapes[i - 1], shapes[i])
-        if (steps[(i - 1) % per_vertex], tag) in (("close", "add"), ("open", "remove")):
-            change, parity = "grow" if tag == "add" else "shrink", "odd" if i % 2 else "even"
-            raise ValueError(
-                "%s shapes may not %s at %s step %d" % (seq.kind.value, change, parity, i)
-            )
+        cur = shapes[i]
+        if cur == prev:
+            steps.append(("same", None))
+            continue
+        step = _step(prev, cur)
+        if step is None:
+            _fault(shapes, i, "consecutive shapes differ by more than one box")
+        if (half_steps[(i - 1) % per_vertex], step[0]) in (("close", "add"), ("open", "remove")):
+            change, parity = "grow" if step[0] == "add" else "shrink", "odd" if i % 2 else "even"
+            message = "%s shapes may not %s at %s step %d" % (seq.kind.value, change, parity, i)
+            _fault(shapes, i + 1, message)
+        steps.append(step)
+        prev = cur
+    if prev != ():
+        _fault(shapes, len(shapes), "sequences must start and end empty")
     if seq.fillings is not None:
         if len(seq.fillings) != len(shapes):
             raise ValueError("need one filling per shape")
-        for rows, shape in zip(seq.fillings, shapes):
+        for rows, shape in dict.fromkeys(zip(seq.fillings, shapes)):
             if PartialTableau(rows).shape != shape:
                 raise ValueError("filling does not match its shape")
+    return steps
 
 
 def _check_arcs(pairs, n, allow_loops: bool):
@@ -357,21 +403,23 @@ def _walk(kind: TableauKind, arcs, n: int) -> TableauSequence:
     opens = {a: b for a, b in arcs}
     closes = {b for _, b in arcs}
     rows: list[list[int]] = []
-    shapes = [()]
-    fills: list[Rows] = [()]
+    entry: tuple[Shape, Rows] = ((), ())  # the shape and filling so far
+    trail = [entry]
     for v in range(1, n + 1):
         for step in steps:
             if step != "open" and v in closes:
                 if not rows or rows[0][0] != v:
                     raise ValueError("arc endpoints out of order at vertex %d" % v)
                 _delete_min_rows(rows)
+                entry = tuple(map(len, rows)), tuple(map(tuple, rows))
             elif step != "close" and v in opens:
                 _insert_rows(rows, opens[v])
-            shapes.append(tuple(len(r) for r in rows))
-            fills.append(tuple(tuple(r) for r in rows))
+                entry = tuple(map(len, rows)), tuple(map(tuple, rows))
+            trail.append(entry)
     if rows:
         raise ConsistencyError("the %s walk must end empty" % kind.value)
-    return TableauSequence(kind, n, tuple(shapes), tuple(fills))
+    shapes, fills = zip(*trail)
+    return _built(kind, n, shapes, fills)
 
 
 def encode_vacillating(pairs, n: int) -> TableauSequence:
@@ -424,18 +472,17 @@ def decode(seq: TableauSequence) -> tuple[tuple[int, int], ...]:
     >>> decode(encode_hesitating([(2, 2)], 2))
     ((2, 2),)
     """
-    validate_sequence(seq)
-    steps = _HALF_STEPS[seq.kind]
-    per_vertex = len(steps)
-    loops = steps[0] == "open"  # an arc may close where it opened
-    shapes = seq.shapes
+    steps = validate_sequence(seq)
+    half_steps = _HALF_STEPS[seq.kind]
+    per_vertex = len(half_steps)
+    loops = half_steps[0] == "open"  # an arc may close where it opened
     rows: list[list[int]] = []
     arcs: list[tuple[int, int]] = []
-    for i in range(len(shapes) - 1, 0, -1):
-        v = (i + per_vertex - 1) // per_vertex
-        tag, cell = _shape_step(shapes[i - 1], shapes[i])
+    for i in range(len(steps), 0, -1):
+        tag, cell = steps[i - 1]
         if tag == "same":
             continue
+        v = (i + per_vertex - 1) // per_vertex
         if tag == "add":
             label = _uninsert_rows(rows, cell)
             if label < v or (label == v and not loops):
@@ -451,11 +498,11 @@ def decode(seq: TableauSequence) -> tuple[tuple[int, int], ...]:
 
 
 def transpose_sequence(seq: TableauSequence) -> TableauSequence:
-    """Conjugate every shape; fillings are dropped (decode never needs them).
+    """Conjugate every shape, each distinct one once; fillings are dropped
+    (decode never needs them).
 
     >>> transpose_sequence(encode_semioscillating([(1, 2)], 2)).shapes
     ((), (1,), ())
     """
-    return TableauSequence(
-        seq.kind, seq.n, tuple(conjugate(s) for s in seq.shapes), None
-    )
+    conjugates = {s: conjugate(s) for s in set(seq.shapes)}
+    return _built(seq.kind, seq.n, tuple(map(conjugates.__getitem__, seq.shapes)), None)

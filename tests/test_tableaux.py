@@ -1,4 +1,6 @@
 """Tableau walks: encoders, decoder, RSK primitives, orientation."""
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -156,6 +158,35 @@ def test_filling_shapes_must_match():
     )
     with pytest.raises(ValueError):
         validate_sequence(seq)
+
+
+@pytest.mark.parametrize(
+    "shapes, bad",
+    [
+        ([(), (1,), (1, 1), (1, 2), (1, 1), (1,), ()], (1, 2)),  # a box added
+        ([(), (1,), (1, 1), (0, 1), (1,), ()], (0, 1)),  # a box removed
+    ],
+    ids=["grows", "shrinks"],
+)
+def test_decode_rejects_a_walk_that_leaves_the_partitions(shapes, bad):
+    """Every step is one box, but one of them lands on a non-partition."""
+    seq = _bare("semioscillating", len(shapes) - 1, shapes)
+    with pytest.raises(ValueError, match=r"^not a partition shape: %s$" % re.escape(repr(bad))):
+        decode(seq)
+
+
+def test_transpose_twice_on_sequences_built_with_lists():
+    seq = TableauSequence(
+        TableauKind.VACILLATING,
+        4,
+        [[], [], [1], [1], [1, 1], [1], [1], [], []],
+        [[], [], [[4]], [[4]], [[3], [4]], [[4]], [[4]], [], []],
+    )
+    assert seq == encode_vacillating([(1, 4), (2, 3)], 4)
+    image = transpose_sequence(seq)
+    assert image.shapes == ((), (), (1,), (1,), (2,), (1,), (1,), (), ())
+    assert transpose_sequence(image).shapes == seq.shapes
+    assert decode(image) == ((1, 3), (2, 4))
 
 
 def test_encoder_rejects_bad_arcs():
