@@ -58,6 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from typing import Optional
 
 from .errors import CapExceeded, ConsistencyError
@@ -233,10 +234,10 @@ def _build_full(family: str, j: int, k: int, r: int, max_states: Optional[int]) 
             % (total, cap)
         )
     if family == "setpartition":
-        states = list(_tuples(shapes, r))
+        states = list(product(shapes, repeat=r))
     else:
         by_total: dict[int, list] = {}
-        for t in _tuples(shapes, r):
+        for t in product(shapes, repeat=r):
             by_total.setdefault(_boxes(t), []).append(t)
         states = [(u, low) for group in by_total.values() for u in group for low in group]
     labelled = j == k == 2
@@ -435,15 +436,6 @@ def _state_name(family: str, st) -> str:
     if family == "setpartition":
         return "|".join(_shape_name(s) for s in st)
     return ";".join("|".join(_shape_name(s) for s in half) for half in st)
-
-
-def _tuples(shapes, r):
-    if r == 0:
-        yield ()
-        return
-    for rest in _tuples(shapes, r - 1):
-        for s in shapes:
-            yield rest + (s,)
 
 
 def export_dot(g: Multigraph) -> str:

@@ -78,14 +78,29 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _build_graph(args) -> automata.Multigraph:
-    return automata.build_general(
+def _build(builder, args) -> automata.Multigraph:
+    """The graph `builder` makes for the family, bounds and colours in
+    `args`: `automata.build_general` for ``graph``, the colour-orbit
+    quotient `automata.build_quotient` for ``gf`` and ``series``."""
+    return builder(
         args.family,
         args.j,
         args.k,
         args.colours,
         max_states=_cap(args.max_states, "CROSSNEST_MAX_STATES"),
     )
+
+
+def _by_size(family: str, top: int, walks) -> list[int]:
+    """Counts of objects of size 0 .. top, where `walks(m)` gives the
+    closed-walk counts of lengths 0 .. m - 1.
+
+    Walk length m corresponds to size m for permutations and size m + 1
+    for set partitions, whose moves live in the n + 1 gaps of a diagram;
+    the empty set partition is the one object of size 0.
+    """
+    shift = 1 if family == "setpartition" else 0
+    return [1] * shift + list(walks(top + 1 - shift))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +146,7 @@ def cmd_count(args) -> int:
             print("total: %d" % hist.total())
             print("symmetric: %s" % ("yes" if hist.is_symmetric() else "no"))
         return 0
-    total = oracle.count(spec, threads=args.threads)
+    total = oracle.count(spec)
     if args.json:
         base["count"] = total
         _emit_json(base)
@@ -157,17 +172,6 @@ def _factor_text(constant: int, slopes) -> str:
     return text
 
 
-def _build_quotient(args) -> automata.Multigraph:
-    """The colour-orbit quotient that `gf` and `series` count walks on."""
-    return automata.build_quotient(
-        args.family,
-        args.j,
-        args.k,
-        args.colours,
-        max_states=_cap(args.max_states, "CROSSNEST_MAX_STATES"),
-    )
-
-
 def _gf(args, q: automata.Multigraph) -> ratfunc.RationalFunction:
     return ratfunc.gf_from_graph(
         q, max_states=_cap(args.max_gf_states, "CROSSNEST_MAX_GF_STATES")
@@ -175,7 +179,7 @@ def _gf(args, q: automata.Multigraph) -> ratfunc.RationalFunction:
 
 
 def cmd_gf(args) -> int:
-    rf = _gf(args, _build_quotient(args))
+    rf = _gf(args, _build(automata.build_quotient, args))
     factors = ratfunc.split_linear_factors(rf.den)
     if args.json:
         _emit_json(
@@ -200,24 +204,19 @@ def cmd_gf(args) -> int:
 
 
 def _size_counts(args, q: automata.Multigraph) -> list[int]:
-    """Counts of objects of size 0 .. terms, from walks in the quotient.
-
-    Walk length m corresponds to size m for permutations and size m + 1
-    for set partitions, whose moves live in the n + 1 gaps of a diagram.
-    """
-    shift = 1 if args.family == "setpartition" else 0
-    needed = args.terms + 1 - shift
+    """Counts of objects of size 0 .. terms, from walks in the quotient."""
     if args.method == "power":
-        coeffs = ratfunc.series_by_power(q, needed, offset=shift).coeffs
-    else:
-        coeffs = ratfunc.series(_gf(args, q), needed, offset=shift).coeffs
-    return [1] * shift + list(coeffs)
+        return _by_size(
+            args.family, args.terms, lambda m: ratfunc.series_by_power(q, m).coeffs
+        )
+    rf = _gf(args, q)
+    return _by_size(args.family, args.terms, lambda m: ratfunc.series(rf, m).coeffs)
 
 
 def cmd_series(args) -> int:
     if args.terms < 0:
         raise ValueError("--terms must be nonnegative")
-    counts = _size_counts(args, _build_quotient(args))
+    counts = _size_counts(args, _build(automata.build_quotient, args))
     if args.json:
         _emit_json(
             {
@@ -239,7 +238,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    g = _build_graph(args)
+    g = _build(automata.build_general, args)
     if args.json:
         _emit_json(g.to_json_dict())
     else:
@@ -340,34 +339,19 @@ def _selftest_items(perturb: int, max_objects: Optional[int]):
                     bad.append("%s r=%d" % (family, r))
         return ("FAIL", "; ".join(bad)) if bad else ("PASS", None)
 
-    def oracle_setpartition():
-        for r, top in ((1, 6), (2, 5)):
-            walks = ratfunc.series_by_power(build("setpartition", r), top).coeffs
-            for n in range(top + 1):
-                spec = EnumSpec(
-                    "setpartition", n, r, j=2, k=2, max_objects=max_objects
-                )
+    def oracle_agrees(family, cases):
+        for r, top in cases:
+            g = build(family, r)
+            sizes = _by_size(
+                family, top, lambda m: ratfunc.series_by_power(g, m).coeffs
+            )
+            for n, want in enumerate(sizes):
+                spec = EnumSpec(family, n, r, j=2, k=2, max_objects=max_objects)
                 got = oracle.count(spec)
-                want = 1 if n == 0 else walks[n - 1]
                 if got != want:
                     return (
                         "FAIL",
                         "r=%d n=%d oracle %d transfer %d" % (r, n, got, want),
-                    )
-        return ("PASS", None)
-
-    def oracle_permutation():
-        for r, top in ((1, 5), (2, 4)):
-            walks = ratfunc.series_by_power(build("permutation", r), top + 1).coeffs
-            for n in range(top + 1):
-                spec = EnumSpec(
-                    "permutation", n, r, j=2, k=2, max_objects=max_objects
-                )
-                got = oracle.count(spec)
-                if got != walks[n]:
-                    return (
-                        "FAIL",
-                        "r=%d n=%d oracle %d transfer %d" % (r, n, got, walks[n]),
                     )
         return ("PASS", None)
 
@@ -425,8 +409,14 @@ def _selftest_items(perturb: int, max_objects: Optional[int]):
         ),
         ("general-builder-agrees", general_agrees),
         ("series-methods-agree", series_methods),
-        ("oracle-vs-transfer-setpartition", oracle_setpartition),
-        ("oracle-vs-transfer-permutation", oracle_permutation),
+        (
+            "oracle-vs-transfer-setpartition",
+            lambda: oracle_agrees("setpartition", ((1, 6), (2, 5))),
+        ),
+        (
+            "oracle-vs-transfer-permutation",
+            lambda: oracle_agrees("permutation", ((1, 5), (2, 4))),
+        ),
         ("involution-invariants", involution_invariants),
         ("tableau-goldens", tableau_goldens),
     )
@@ -510,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="tabulate by (crossing, nesting) pair instead",
     )
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument(
         "--max-objects", type=int, help="enumeration cap (default 10000000)"
     )

@@ -29,11 +29,9 @@ checked.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import permutations as _lex_permutations
 from itertools import product
-from multiprocessing import Pool
 from typing import Iterator, Optional
 
 from .diagrams import (
@@ -188,17 +186,12 @@ def enumerate_objects(spec: EnumSpec) -> Iterator:
                 yield obj
 
 
-def _uncoloured(spec: EnumSpec, first: Optional[int]) -> Iterator:
+def _uncoloured(spec: EnumSpec) -> Iterator:
     """(word or blocks, colour slices) of each uncoloured object that passes
-    the refinement, in the documented order; `first` fixes a permutation's
-    first letter."""
+    the refinement, in the documented order."""
     n = spec.n
     if spec.family == "permutation":
-        if first is None:
-            words = _lex_permutations(range(1, n + 1))
-        else:
-            rest = [v for v in range(1, n + 1) if v != first]
-            words = ((first,) + tail for tail in _lex_permutations(rest))
+        words = _lex_permutations(range(1, n + 1))
         objs = ((word, ColouredPermutation(word)) for word in words)
     else:
         objs = ((blocks, ColouredSetPartition(blocks)) for blocks in _rgs_blocks(n))
@@ -258,31 +251,14 @@ def _colourings(spec: EnumSpec, slices) -> int:
     return place(0)
 
 
-def count(spec: EnumSpec, threads: int = 1) -> int:
-    """Number of admissible objects; may fan permutations out to workers.
+def count(spec: EnumSpec) -> int:
+    """Number of admissible objects.
 
     Walks the uncoloured objects and counts the colourings of each one
     (`_colourings`); the cap still counts every coloured object.
     """
     _check_cap(spec)
-    workers = _worker_count(threads, spec.n)
-    if workers > 1 and spec.family == "permutation":
-        with Pool(processes=workers) as pool:
-            chunks = pool.map(
-                _count_chunk, [(spec, v) for v in range(1, spec.n + 1)]
-            )
-        return sum(chunks)
-    return _count_chunk((spec, None))
-
-
-def _worker_count(threads: int, n: int) -> int:
-    """Workers for `count`: one chunk per first letter, one worker per CPU."""
-    return max(1, min(threads, n, os.cpu_count() or 1))
-
-
-def _count_chunk(args) -> int:
-    spec, first = args
-    return sum(_colourings(spec, slices) for _, slices in _uncoloured(spec, first))
+    return sum(_colourings(spec, slices) for _, slices in _uncoloured(spec))
 
 
 def joint_histogram(spec: EnumSpec) -> JointHistogram:
@@ -297,7 +273,7 @@ def joint_histogram(spec: EnumSpec) -> JointHistogram:
     make = ColouredPermutation if spec.family == "permutation" else ColouredSetPartition
     falling = _falling(spec.colours)
     hist = JointHistogram()
-    for key, slices in _uncoloured(spec, None):
+    for key, slices in _uncoloured(spec):
         narcs = sum(len(pairs) for pairs, _ in slices)
         for word in _rgs(narcs, spec.colours):
             stats = cr_ne(make(key, [c + 1 for c in word]))
@@ -316,7 +292,7 @@ def permutation_colouring_counts(
     )
     _check_cap(spec)
     out: dict[tuple[int, ...], int] = {}
-    for word, slices in _uncoloured(spec, first=None):
+    for word, slices in _uncoloured(spec):
         admitted = _colourings(spec, slices)
         if admitted:
             out[word] = admitted

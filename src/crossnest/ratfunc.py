@@ -16,7 +16,7 @@ selftest compare.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 from typing import Optional
 
 from .errors import CapExceeded, ConsistencyError
@@ -139,7 +139,7 @@ class IntPoly:
     def content(self) -> int:
         g = 0
         for c in self.coeffs:
-            g = _gcd(g, c)
+            g = gcd(g, c)
         return g
 
     def primitive(self) -> "IntPoly":
@@ -171,13 +171,6 @@ ONE = IntPoly([1])
 X = IntPoly([0, 1])
 
 
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _prem(a: IntPoly, b: IntPoly) -> IntPoly:
     """Pseudo-remainder; all divisions stay in the integers by scaling."""
     da, db = a.degree(), b.degree()
@@ -206,7 +199,7 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     if a.is_zero() or b.is_zero():
         g = b if a.is_zero() else a
         return g if g.coeffs[-1] > 0 else -g
-    cont = _gcd(a.content(), b.content())
+    cont = gcd(a.content(), b.content())
     a, b = a.primitive(), b.primitive()
     while not b.is_zero():
         a, b = b, _prem(a, b).primitive()

@@ -102,15 +102,6 @@ def test_count_histogram_csv(capsys):
     assert "1,1,8" in out.splitlines()
 
 
-def test_count_threads(capsys):
-    code, out, _ = run_cli(
-        capsys, "count", "--family", "permutation", "--n", "5",
-        "--j", "2", "--k", "2", "--threads", "2",
-    )
-    assert code == 0
-    assert out == "count: 16\n"
-
-
 # --- gf ---------------------------------------------------------------------
 
 
@@ -462,6 +453,18 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1,1,3,11,45,197\n"
+
+
+def test_import_leaves_out_multiprocessing():
+    # counting runs in one process, so no start-up pays for the import
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, crossnest.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_output_is_byte_identical_across_runs():

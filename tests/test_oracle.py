@@ -13,7 +13,6 @@ from crossnest.diagrams import (
     is_ncn,
     opener_closer_sets,
 )
-from crossnest import oracle
 from crossnest.errors import CapExceeded
 from crossnest.oracle import (
     EnumSpec,
@@ -154,41 +153,6 @@ def test_refined_count_matches_the_enumerator(family, n, r, j, k):
     for ovs, cvs in _refinements(family, n):
         spec = EnumSpec(family, n, colours=r, j=j, k=k, openers=ovs, closers=cvs)
         assert count(spec) == sum(1 for _ in enumerate_objects(spec)), (ovs, cvs)
-
-
-def test_refined_count_in_worker_processes(monkeypatch):
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
-    assert oracle._worker_count(2, 5) == 2  # so the chunks run in a pool
-    spec = EnumSpec(
-        "permutation", 5, colours=2, j=2, k=3,
-        openers=frozenset({1, 2}), closers=frozenset({4, 5}),
-    )
-    want = sum(1 for _ in enumerate_objects(spec))
-    assert want > 0
-    assert count(spec, threads=2) == want
-
-
-def test_threads_agree_with_single_process():
-    spec = EnumSpec("permutation", 5, colours=1, j=2, k=2)
-    assert count(spec, threads=2) == count(spec, threads=1)
-
-
-@pytest.mark.parametrize(
-    "threads,n,cpus,workers",
-    [
-        (1, 7, 8, 1),
-        (4, 7, 8, 4),
-        (10_000, 7, 8, 7),  # one chunk per first letter
-        (10_000, 9, 2, 2),  # one worker per CPU
-        (10_000, 9, None, 1),  # CPU count unknown
-        (0, 5, 4, 1),
-        (-3, 5, 4, 1),
-        (3, 0, 4, 1),
-    ],
-)
-def test_worker_count_is_clamped(monkeypatch, threads, n, cpus, workers):
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
-    assert oracle._worker_count(threads, n) == workers
 
 
 def test_joint_histogram_is_symmetric_on_the_full_space():
