@@ -13,6 +13,7 @@ Text formats (shared with the command line):
 
     permutation     "4 5 3 6 2 1 / 1 2 1 2 2 2"     word / colours
     set partition   "{1,3,6},{4,5},{2} / 1 2 1"     blocks / arc colours
+    empty partition "{}"
 
 The colour part may be omitted, meaning every arc takes colour 1.  Set
 partition arc colours are listed in the order of arcs sorted by left
@@ -154,6 +155,8 @@ class ColouredSetPartition:
     >>> sp = ColouredSetPartition.from_text("{1,3,6},{4,5},{2}")
     >>> sp.arcs()
     [(1, 3), (3, 6), (4, 5)]
+    >>> ColouredSetPartition([]).to_text()
+    '{}'
     """
 
     __slots__ = ("blocks", "n", "arc_colours", "num_colours")
@@ -226,7 +229,7 @@ class ColouredSetPartition:
         block_part, colours = _split_colours(text)
         block_part = block_part.strip()
         blocks = []
-        if block_part:
+        if block_part and block_part != "{}":  # "{}" is the empty set partition
             if not (block_part.startswith("{") and block_part.endswith("}")):
                 raise ValueError("set partition text must be {..},{..} blocks")
             inner = block_part[1:-1]
@@ -243,7 +246,7 @@ class ColouredSetPartition:
     def to_text(self) -> str:
         blocks = ",".join("{%s}" % ",".join(str(v) for v in b) for b in self.blocks)
         if not blocks:
-            return ""
+            return "{}"
         if self.arc_colours:
             return "%s / %s" % (blocks, " ".join(str(c) for c in self.arc_colours))
         return blocks
@@ -522,16 +525,20 @@ def colour_slices(obj) -> list[tuple[list[tuple[int, int]], bool]]:
 
 def cr_ne(obj) -> tuple[int, int]:
     """The largest monochromatic crossing and nesting anywhere in the
-    object, (cr, ne), in one slicing pass.
+    object, (cr, ne), in one slicing pass.  `obj` may also be a list of
+    `colour_slices` entries, which are scored as they stand, unchecked.
 
     >>> cr_ne(ColouredPermutation.from_text("4 5 3 6 2 1 / 1 2 1 2 2 2"))
     (2, 2)
     >>> cr_ne(ColouredPermutation((1, 2, 3)))
     (1, 1)
+    >>> cr_ne([([(1, 3), (3, 5)], True), ([(1, 4), (2, 3)], False)])
+    (2, 2)
     """
-    slices = colour_slices(obj)
-    c = max((_max_crossing(p, e) for p, e in slices), default=0)
-    n = max((_max_nesting(p) for p, _ in slices), default=0)
+    c = n = 0
+    for pairs, enhanced in obj if isinstance(obj, list) else colour_slices(obj):
+        c = max(c, _max_crossing(pairs, enhanced))
+        n = max(n, _max_nesting(pairs))
     return (c, n)
 
 

@@ -13,13 +13,18 @@ Every spec carries bound and refinement filters, all optional:
   exactly the given vertex set — for permutations these are the strict
   opener/closer vertices, for set partitions the arc start/end vertex sets.
 
-`count` and `joint_histogram` walk only the uncoloured objects.  A
-colouring is admissible exactly when each colour class is, so `count`
-counts each object's admissible colourings by splitting its arcs into
-colour classes.  Relabelling colours keeps cr and ne, so `joint_histogram`
-scores one colouring per split of the arcs into classes and weights it by
-the number of colourings with those classes.  `enumerate_objects` is the
-only per-colouring enumerator, the slow reference both are tested against.
+`count` and `joint_histogram` walk only the uncoloured objects, through
+one shared walk (`_splits`).  A colouring is admissible exactly when each
+colour class is, and relabelling colours keeps cr and ne, so the walk
+splits each object's arcs into at most r colour classes by backtracking;
+a split into b classes stands for the r(r-1)...(r-b+1) colourings that
+give its classes distinct colours.  The upper and the lower arcs of each
+class are scored by `cr_ne` once per object, and the running (cr, ne) is
+their maximum.  Adding an arc never lowers it, so a branch is dropped as
+soon as it breaks a bound.  `joint_histogram` is the walk's count per
+(cr, ne) pair; `count` is their sum, or r^arcs per object without bounds.
+`enumerate_objects` is the only per-colouring enumerator, the slow
+reference both are tested against.
 
 Workloads are estimated before a single object is generated: n! * r^n for
 permutations, sum over block counts of S(n, b) * r^(n-b) for set
@@ -38,8 +43,6 @@ from .diagrams import (
     ColouredPermutation,
     ColouredSetPartition,
     JointHistogram,
-    _max_crossing,
-    _max_nesting,
     colour_slices,
     cr_ne,
     opener_closer_sets,
@@ -137,20 +140,20 @@ def _refined(spec: EnumSpec, obj) -> bool:
     return True
 
 
-def _rgs(n: int, limit: int, prefix=(), top=-1) -> Iterator[tuple[int, ...]]:
-    """Restricted growth strings of length n with values below `limit`, in
-    lexicographic order: each value is at most one more than the largest
-    value before it (`top`, over the `prefix` built so far)."""
+def _rgs(n: int, prefix=(), top=-1) -> Iterator[tuple[int, ...]]:
+    """Restricted growth strings of length n in lexicographic order: each
+    value is at most one more than the largest value before it (`top`,
+    over the `prefix` built so far)."""
     if len(prefix) == n:
         yield prefix
         return
-    for v in range(min(top + 2, limit)):
-        yield from _rgs(n, limit, prefix + (v,), max(top, v))
+    for v in range(top + 2):
+        yield from _rgs(n, prefix + (v,), max(top, v))
 
 
 def _rgs_blocks(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Set partitions of [n] via restricted growth strings, lexicographic."""
-    for rgs in _rgs(n, n):
+    for rgs in _rgs(n):
         blocks: list[list[int]] = [[] for _ in range(max(rgs, default=-1) + 1)]
         for v, b in enumerate(rgs, start=1):
             blocks[b].append(v)
@@ -186,114 +189,91 @@ def enumerate_objects(spec: EnumSpec) -> Iterator:
                 yield obj
 
 
-def _uncoloured(spec: EnumSpec) -> Iterator:
-    """(word or blocks, colour slices) of each uncoloured object that passes
-    the refinement, in the documented order."""
+def _uncoloured(spec: EnumSpec) -> Iterator[list]:
+    """The colour slices of each uncoloured object that passes the
+    refinement, in the documented order."""
     n = spec.n
     if spec.family == "permutation":
-        words = _lex_permutations(range(1, n + 1))
-        objs = ((word, ColouredPermutation(word)) for word in words)
+        objs = map(ColouredPermutation, _lex_permutations(range(1, n + 1)))
     else:
-        objs = ((blocks, ColouredSetPartition(blocks)) for blocks in _rgs_blocks(n))
-    for key, obj in objs:
+        objs = map(ColouredSetPartition, _rgs_blocks(n))
+    for obj in objs:
         if _refined(spec, obj):
-            yield key, colour_slices(obj)
+            yield colour_slices(obj)
 
 
-def _colourings(spec: EnumSpec, slices) -> int:
-    """How many r-colourings of one uncoloured object pass the bounds.
+def _splits(spec: EnumSpec) -> dict[tuple[int, int], int]:
+    """How many r-colourings of the uncoloured objects pass the bounds, by
+    (cr, ne).
 
-    `slices` are the object's one-coloured `colour_slices`: each arc is an
-    (enhanced) upper or a plain lower arc.  A colouring passes exactly when
-    each colour class does, so the arcs are split into classes by
-    backtracking, and a split into b classes stands for the
-    r(r-1)...(r-b+1) colourings that give its classes distinct colours.
-    Adding arcs never lowers cr or ne, so a class is dropped as soon as its
-    upper or its lower arcs reach cr >= j or ne >= k.
+    Each object's one-coloured `colour_slices` make every arc an
+    (enhanced) upper or a plain lower arc.  The arcs are split into at
+    most r colour classes by backtracking, and a leaf with b classes adds
+    r(r-1)...(r-b+1).  The running (cr, ne) is the maximum over the
+    classes' upper and lower arcs, each scored by `cr_ne` once per object
+    and kept under its bitmask of arcs.  Adding an arc never lowers cr or
+    ne, so a branch is dropped as soon as the running pair reaches
+    cr >= j or ne >= k.
     """
-    arcs = [(pair, enhanced) for pairs, enhanced in slices for pair in pairs]
     r = spec.colours
-    if spec.j is None and spec.k is None:
-        return r ** len(arcs)
-    side = {True: 0, False: 0}  # the upper and the lower arcs, as bitmasks
-    for b, (_, enhanced) in enumerate(arcs):
-        side[enhanced] |= 1 << b
-    admissible: dict[int, bool] = {}
-
-    def fits(mask: int, enhanced: bool) -> bool:
-        ok = admissible.get(mask)
-        if ok is None:
-            pairs = [arcs[b][0] for b in range(len(arcs)) if mask >> b & 1]
-            ok = (spec.j is None or _max_crossing(pairs, enhanced) < spec.j) and (
-                spec.k is None or _max_nesting(pairs) < spec.k
-            )
-            admissible[mask] = ok
-        return ok
-
+    # cr and ne never exceed the n arcs, so a missing bound is n + 1
+    j = spec.n + 1 if spec.j is None else spec.j
+    k = spec.n + 1 if spec.k is None else spec.k
     falling = _falling(r)
-    classes: list[int] = []
+    out: dict[tuple[int, int], int] = {}
+    for slices in _uncoloured(spec):
+        arcs = [(pair, enhanced) for pairs, enhanced in slices for pair in pairs]
+        side = {True: 0, False: 0}  # the upper and the lower arcs, as bitmasks
+        for b, (_, enhanced) in enumerate(arcs):
+            side[enhanced] |= 1 << b
+        scores: dict[int, tuple[int, int]] = {}  # side mask -> its (cr, ne)
+        classes: list[int] = []
 
-    def place(i: int) -> int:
-        if i == len(arcs):
-            return falling[len(classes)]
-        bit, enhanced, total = 1 << i, arcs[i][1], 0
-        for c, mask in enumerate(classes):
-            if fits((mask | bit) & side[enhanced], enhanced):
-                classes[c] = mask | bit
-                total += place(i + 1)
-                classes[c] = mask
-        if len(classes) < r:  # a single arc is never a 2-crossing or 2-nesting
-            classes.append(bit)
-            total += place(i + 1)
-            classes.pop()
-        return total
+        def place(i: int, cr: int, ne: int) -> None:
+            if i == len(arcs):
+                key = (cr, ne)
+                out[key] = out.get(key, 0) + falling[len(classes)]
+                return
+            bit, enhanced = 1 << i, arcs[i][1]
+            for c, mask in enumerate(classes):
+                grown = (mask | bit) & side[enhanced]
+                stats = scores.get(grown)
+                if stats is None:
+                    pairs = [arcs[b][0] for b in range(i + 1) if grown >> b & 1]
+                    stats = scores[grown] = cr_ne([(pairs, enhanced)])
+                grown_cr = stats[0] if stats[0] > cr else cr
+                grown_ne = stats[1] if stats[1] > ne else ne
+                if grown_cr < j and grown_ne < k:
+                    classes[c] = mask | bit
+                    place(i + 1, grown_cr, grown_ne)
+                    classes[c] = mask
+            if len(classes) < r:  # a single arc is never a 2-crossing or 2-nesting
+                classes.append(bit)
+                place(i + 1, cr or 1, ne or 1)
+                classes.pop()
 
-    return place(0)
+        place(0, 0, 0)
+    return out
 
 
 def count(spec: EnumSpec) -> int:
     """Number of admissible objects.
 
-    Walks the uncoloured objects and counts the colourings of each one
-    (`_colourings`); the cap still counts every coloured object.
+    Without bounds each uncoloured object has r^arcs colourings; with
+    them, the colour-class walk of `_splits` counts them.  The cap still
+    counts every coloured object.
     """
     _check_cap(spec)
-    return sum(_colourings(spec, slices) for _, slices in _uncoloured(spec))
+    if spec.j is None and spec.k is None:
+        r = spec.colours
+        return sum(
+            r ** sum(len(pairs) for pairs, _ in slices) for slices in _uncoloured(spec)
+        )
+    return sum(_splits(spec).values())
 
 
 def joint_histogram(spec: EnumSpec) -> JointHistogram:
-    """Counts of admissible objects by (cr, ne) pair.
-
-    Walks the uncoloured objects.  Each split of an object's arcs into b
-    colour classes is scored once, on its colour word in first-use order,
-    and stands for the r(r-1)...(r-b+1) colourings that give its classes
-    distinct colours: relabelling colours keeps cr and ne.
-    """
+    """Counts of admissible objects by (cr, ne) pair, from the colour-class
+    walk of `_splits`."""
     _check_cap(spec)
-    make = ColouredPermutation if spec.family == "permutation" else ColouredSetPartition
-    falling = _falling(spec.colours)
-    hist = JointHistogram()
-    for key, slices in _uncoloured(spec):
-        narcs = sum(len(pairs) for pairs, _ in slices)
-        for word in _rgs(narcs, spec.colours):
-            stats = cr_ne(make(key, [c + 1 for c in word]))
-            if _bounded(spec, stats):
-                hist.add(stats, falling[max(word, default=-1) + 1])
-    return hist
-
-
-def permutation_colouring_counts(
-    n: int, colours: int, j: int, k: int, max_objects: Optional[int] = None
-) -> dict[tuple[int, ...], int]:
-    """For each permutation word of [n], how many of its colourings pass
-    the (j, k) bounds (words with none are left out)."""
-    spec = EnumSpec(
-        family="permutation", n=n, colours=colours, j=j, k=k, max_objects=max_objects
-    )
-    _check_cap(spec)
-    out: dict[tuple[int, ...], int] = {}
-    for word, slices in _uncoloured(spec):
-        admitted = _colourings(spec, slices)
-        if admitted:
-            out[word] = admitted
-    return out
+    return JointHistogram(_splits(spec))

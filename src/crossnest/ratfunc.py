@@ -103,12 +103,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def __call__(self, value: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
     def exact_div(self, other: "IntPoly") -> "IntPoly":
         """Division that must leave no remainder (ValueError otherwise)."""
         other = self._coerce(other)

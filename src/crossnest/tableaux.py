@@ -45,9 +45,27 @@ Rows = tuple[tuple[int, ...], ...]
 
 
 class TableauKind(Enum):
-    SEMI_OSCILLATING = "semioscillating"
-    VACILLATING = "vacillating"
-    HESITATING = "hesitating"
+    """The flavour of a walk, valued by its name.  `half_steps` lists the
+    half-steps of one vertex, which drive the encoding walk, the validator
+    and the decoder alike: "close" deletes the vertex's own label if an arc
+    ends there, "open" inserts the partner's label if an arc starts there,
+    and "either" does whichever applies (a vertex of a matching never needs
+    both).  It is a plain attribute of each member, so reading it hashes
+    nothing.
+
+    >>> TableauKind("vacillating").half_steps
+    ('close', 'open')
+    """
+
+    SEMI_OSCILLATING = ("semioscillating", ("either",))
+    VACILLATING = ("vacillating", ("close", "open"))
+    HESITATING = ("hesitating", ("open", "close"))
+
+    def __new__(cls, value: str, half_steps: tuple[str, ...]):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.half_steps = half_steps
+        return member
 
 
 def is_partition_shape(shape) -> bool:
@@ -70,18 +88,6 @@ def conjugate(shape: Shape) -> Shape:
     return tuple(
         sum(1 for p in shape if p > col) for col in range(shape[0])
     )
-
-
-# The half-steps of one vertex, per flavour, which drive the encoding walk,
-# the validator and the decoder alike: "close" deletes the vertex's own
-# label if an arc ends there, "open" inserts the partner's label if an arc
-# starts there, and "either" does whichever applies (a vertex of a matching
-# never needs both).
-_HALF_STEPS = {
-    TableauKind.SEMI_OSCILLATING: ("either",),
-    TableauKind.VACILLATING: ("close", "open"),
-    TableauKind.HESITATING: ("open", "close"),
-}
 
 
 class PartialTableau:
@@ -341,7 +347,7 @@ def validate_sequence(seq: TableauSequence) -> list:
     shapes = seq.shapes
     if seq.n < 0:
         raise ValueError("n must be nonnegative")
-    half_steps = _HALF_STEPS[seq.kind]
+    half_steps = seq.kind.half_steps
     per_vertex = len(half_steps)
     if len(shapes) != per_vertex * seq.n + 1:
         raise ValueError(
@@ -398,8 +404,8 @@ def _check_arcs(pairs, n, allow_loops: bool):
 
 def _walk(kind: TableauKind, arcs, n: int) -> TableauSequence:
     """Walk checked arcs over vertices 1..n, recording the shape and the
-    filling after every half-step that `_HALF_STEPS` gives `kind`."""
-    steps = _HALF_STEPS[kind]
+    filling after every half-step of `kind.half_steps`."""
+    steps = kind.half_steps
     opens = {a: b for a, b in arcs}
     closes = {b for _, b in arcs}
     rows: list[list[int]] = []
@@ -473,7 +479,7 @@ def decode(seq: TableauSequence) -> tuple[tuple[int, int], ...]:
     ((2, 2),)
     """
     steps = validate_sequence(seq)
-    half_steps = _HALF_STEPS[seq.kind]
+    half_steps = seq.kind.half_steps
     per_vertex = len(half_steps)
     loops = half_steps[0] == "open"  # an arc may close where it opened
     rows: list[list[int]] = []

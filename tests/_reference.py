@@ -10,7 +10,6 @@ agree with these on every input.
 """
 from crossnest.errors import ConsistencyError
 from crossnest.tableaux import (
-    _HALF_STEPS,
     PartialTableau,
     TableauSequence,
     _undelete_rows,
@@ -49,7 +48,7 @@ def validate_sequence(seq):
     shapes = seq.shapes
     if seq.n < 0:
         raise ValueError("n must be nonnegative")
-    steps = _HALF_STEPS[seq.kind]
+    steps = seq.kind.half_steps
     per_vertex = len(steps)
     if len(shapes) != per_vertex * seq.n + 1:
         raise ValueError(
@@ -82,7 +81,7 @@ def validate_sequence(seq):
 def decode(seq):
     """Recover the arc list, classifying every step again after validation."""
     validate_sequence(seq)
-    steps = _HALF_STEPS[seq.kind]
+    steps = seq.kind.half_steps
     per_vertex = len(steps)
     loops = steps[0] == "open"
     shapes = seq.shapes

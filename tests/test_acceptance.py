@@ -6,6 +6,7 @@ inside the test itself.  All comparisons are exact.
 """
 import random
 import time
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -87,9 +88,10 @@ def test_criterion_4_permutation_series_and_colouring_counts():
         got = series(rf, 8).coeffs
         assert got == PERMUTATION_SERIES[r][:8], "series differs at r=%d" % r
     # the size-4 value 224 for two colours, recomputed per permutation
-    per_word = oracle.permutation_colouring_counts(4, 2, 2, 2)
+    spec = EnumSpec("permutation", 4, colours=2, j=2, k=2)
+    per_word = Counter(obj.word for obj in oracle.enumerate_objects(spec))
     assert sorted(per_word.values()) == [4] * 8 + [8] * 8 + [16] * 8
-    assert sum(per_word.values()) == 224 == PERMUTATION_SERIES[2][4]
+    assert sum(per_word.values()) == 224 == PERMUTATION_SERIES[2][4] == oracle.count(spec)
     _finish(started, 5, "permutation series to size 7 and the 224 breakdown")
 
 

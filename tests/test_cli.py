@@ -281,10 +281,13 @@ def test_bijection_accepts_whitespace_between_blocks(capsys):
     assert spaced == plain
 
 
+def test_bijection_of_the_empty_set_partition(capsys):
+    assert run_cli(capsys, "bijection", "--input", "{}") == (0, "{}\n", "")
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
-        ("{}", "empty block {} in set partition text"),
         ("{1,2},{ }", "empty block {} in set partition text"),
         ("{1 2}", "block {1 2} must list vertices separated by commas"),
         ("", "empty diagram text"),

@@ -85,6 +85,15 @@ def test_set_partition_must_cover_ground_set():
         ColouredSetPartition([[1, 2], [2, 3]])
 
 
+def test_empty_set_partition_round_trip():
+    empty = ColouredSetPartition([])
+    assert empty.to_text() == "{}"
+    assert parse_diagram("{}") == empty
+    assert parse_diagram(empty.to_text()) == empty
+    with pytest.raises(ValueError, match="empty block"):
+        parse_diagram("{},{1}")
+
+
 def test_parse_diagram_dispatches_on_brace():
     assert isinstance(parse_diagram("{1,2},{3}"), ColouredSetPartition)
     assert isinstance(parse_diagram("2 1 3"), ColouredPermutation)
@@ -264,13 +273,15 @@ def coloured_objects(draw, max_size=12):
 @settings(max_examples=200)
 def test_statistics_match_the_checked_path(obj):
     """`cr_ne` and `is_ncn` skip the arc checks on the slices they build;
-    they must agree with the public, checked statistics slice by slice."""
+    they must agree with the public, checked statistics slice by slice, and
+    `cr_ne` must score an object and its slice list alike."""
     slices = colour_slices(obj)
     want = (
         max((max_crossing(p, e) for p, e in slices), default=0),
         max((max_nesting(p, e) for p, e in slices), default=0),
     )
     assert cr_ne(obj) == want
+    assert cr_ne(slices) == want
     for j, k in ((2, 2), (2, 3), (3, 2), (3, 3)):
         assert is_ncn(obj, j, k) == (want[0] < j and want[1] < k)
 

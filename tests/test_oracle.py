@@ -1,14 +1,17 @@
 """Exhaustive enumeration: ordering, workload guard, filters."""
+from collections import Counter
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossnest import oracle
 from crossnest.diagrams import (
     ColouredPermutation,
     ColouredSetPartition,
     JointHistogram,
+    colour_slices,
     cr_ne,
     is_ncn,
     opener_closer_sets,
@@ -19,7 +22,6 @@ from crossnest.oracle import (
     count,
     enumerate_objects,
     joint_histogram,
-    permutation_colouring_counts,
     workload,
 )
 
@@ -213,8 +215,50 @@ def test_refined_joint_histogram_matches_the_enumerator(family, n, openers, clos
     assert hist.total() == count(spec)
 
 
+@pytest.mark.parametrize("family,n", [("permutation", 5), ("setpartition", 6)])
+@pytest.mark.parametrize("j,k", [(None, None), (2, 2), (3, 2), (3, 3)])
+def test_walk_builds_and_scores_each_object_once(monkeypatch, family, n, j, k):
+    """`count` and `joint_histogram` build one coloured object per
+    uncoloured object and score each side mask of it (one set of upper or
+    of lower arcs) at most once through `cr_ne`."""
+    built = []
+    for name in ("ColouredPermutation", "ColouredSetPartition"):
+        real = getattr(oracle, name)
+
+        def make(*args, _real=real):
+            built.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(oracle, name, make)
+    scored: list[list] = []  # per sliced object, the arguments given to cr_ne
+
+    def slices_of(obj):
+        scored.append([])
+        return colour_slices(obj)
+
+    def score(slices):
+        scored[-1].append(tuple((tuple(pairs), enhanced) for pairs, enhanced in slices))
+        return cr_ne(slices)
+
+    monkeypatch.setattr(oracle, "colour_slices", slices_of)
+    monkeypatch.setattr(oracle, "cr_ne", score)
+    objects = workload(EnumSpec(family, n))
+    spec = EnumSpec(family, n, colours=3, j=j, k=k)
+    for run in (count, joint_histogram):
+        built.clear()
+        scored.clear()
+        run(spec)
+        assert len(built) == len(scored) == objects, run.__name__
+        for calls in scored:
+            assert len(calls) == len(set(calls)), run.__name__
+    assert sum(map(len, scored)) > 0  # the histogram scores through cr_ne
+
+
 def test_colouring_counts_by_word():
-    got = permutation_colouring_counts(3, 2, 2, 2)
+    """Per permutation word, how many of its colourings pass the bounds,
+    from the per-colouring enumerator; they sum to `count`."""
+    spec = EnumSpec("permutation", 3, colours=2, j=2, k=2)
+    got = Counter(obj.word for obj in enumerate_objects(spec))
     assert got == {
         (1, 2, 3): 8,
         (1, 3, 2): 8,
@@ -223,4 +267,4 @@ def test_colouring_counts_by_word():
         (3, 1, 2): 8,
         (3, 2, 1): 4,
     }
-    assert sum(got.values()) == 40
+    assert sum(got.values()) == 40 == count(spec)

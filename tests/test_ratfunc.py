@@ -48,10 +48,18 @@ def test_ring_axioms(a, b, c):
     assert a - a == IntPoly()
 
 
+def _evaluate(p: IntPoly, x: int) -> int:
+    """p(x) by Horner's rule."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 @given(polys, st.integers(-10, 10))
 def test_evaluation_is_a_homomorphism(p, x):
-    assert (p * p)(x) == p(x) * p(x)
-    assert (p + ONE)(x) == p(x) + 1
+    assert _evaluate(p * p, x) == _evaluate(p, x) ** 2
+    assert _evaluate(p + ONE, x) == _evaluate(p, x) + 1
 
 
 def test_to_text():
