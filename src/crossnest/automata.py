@@ -47,17 +47,20 @@ Permuting the colours maps each graph onto itself and fixes the start
 state, so the colour orbits of states form an equitable partition: every
 state of an orbit has the same number of edges into any given orbit.
 Closed walks at the start state therefore equal closed walks at the start
-orbit of the quotient matrix, whose entry (a, b) counts the edges from one
-member of orbit a into orbit b.  `build_quotient` builds that matrix
-directly by a breadth-first search over canonical states (the per-colour
-shapes, or (upper, lower) shape pairs, in sorted order), so 2^r set
-partition states fold into r + 1 orbits.  The `gf` and `series` verbs
-count on the quotient; the full graph is built only to be printed.
+orbit of the quotient, whose row for orbit a counts the edges from one
+member of a into each orbit.  `build_quotient` builds those rows directly
+by a breadth-first search over canonical states (the per-colour shapes, or
+(upper, lower) shape pairs, in sorted order), so 2^r set partition states
+fold into r + 1 orbits.  The `gf` and `series` verbs count on the
+quotient; the full graph is built only to be printed.  Graphs are stored
+as the sparse rows the moves produce, so walks, symmetry checks and DOT
+export cost one pass over the edges; the dense `matrix` view is built on
+first use, for the determinant and the JSON adjacency.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Optional
 
@@ -70,9 +73,10 @@ DEFAULT_MAX_STATES = 20_000
 class Multigraph:
     """A multigraph with a distinguished start state (index 0).
 
-    `matrix[a][b]` counts the edges from state a to state b.  The full
-    transfer graphs are symmetric; colour quotients (builder "quotient")
-    are not, since an orbit's row counts edges from one of its members.
+    `rows[a]` is a `{b: count}` dict of the edges from state a to state b,
+    with no zero counts.  The full transfer graphs are symmetric; colour
+    quotients (builder "quotient") are not, since an orbit's row counts
+    edges from one of its members.
     """
 
     family: str  # "setpartition" | "permutation"
@@ -80,7 +84,7 @@ class Multigraph:
     k: int
     colours: int
     states: tuple[str, ...]
-    matrix: tuple[tuple[int, ...], ...]
+    rows: tuple[dict[int, int], ...]
     builder: str = "general"
     edge_labels: Optional[dict] = field(default=None, repr=False)
 
@@ -88,10 +92,19 @@ class Multigraph:
     def size(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as a read-only dense tuple of int tuples."""
+        dense = [[0] * len(self.rows) for _ in self.rows]
+        for line, row in zip(dense, self.rows):
+            for b, count in row.items():
+                line[b] = count
+        return tuple(map(tuple, dense))
+
     def is_symmetric(self) -> bool:
-        m = self.matrix
+        rows = self.rows
         return all(
-            m[i][j] == m[j][i] for i in range(len(m)) for j in range(i)
+            rows[b].get(a) == m for a, row in enumerate(rows) for b, m in row.items()
         )
 
     def to_json_dict(self) -> dict:
@@ -253,12 +266,12 @@ def _build_full(family: str, j: int, k: int, r: int, max_states: Optional[int]) 
         names = tuple(_state_name(family, st) for st in states)
     moves = _MOVES[family]
     index = {s: i for i, s in enumerate(states)}
-    m = [[0] * len(states) for _ in states]
+    rows: list[dict[int, int]] = [{} for _ in states]
     labels: dict[tuple[int, int], list[str]] = {}
-    for i, (row, st) in enumerate(zip(m, states)):
+    for i, (row, st) in enumerate(zip(rows, states)):
         for t, label in moves(st, j, k):
             dest = index[t]
-            row[dest] += 1
+            row[dest] = row.get(dest, 0) + 1
             if labelled and dest >= i:  # the graph is symmetric
                 labels.setdefault((i, dest), []).append(label)
     return Multigraph(
@@ -267,7 +280,7 @@ def _build_full(family: str, j: int, k: int, r: int, max_states: Optional[int]) 
         k=k,
         colours=r,
         states=names,
-        matrix=tuple(tuple(row) for row in m),
+        rows=tuple(rows),
         builder="dedicated" if labelled else "general",
         edge_labels={key: tuple(val) for key, val in labels.items()} if labelled else None,
     )
@@ -277,7 +290,7 @@ def build_quotient(family: str, j: int, k: int, r: int, max_states: Optional[int
     """The colour-orbit quotient of `build_general(family, j, k, r)`.
 
     A breadth-first search from the empty state over canonical states
-    (colour components sorted); `matrix[a][b]` counts the moves from the
+    (colour components sorted); `rows[a][b]` counts the moves from the
     representative of orbit a into orbit b.  Orbit 0 is the start state.
     The search stops as soon as the orbit count passes `max_states`.
 
@@ -317,7 +330,7 @@ def build_quotient(family: str, j: int, k: int, r: int, max_states: Optional[int
         k=k,
         colours=r,
         states=tuple(_state_name(family, st) for st in reps),
-        matrix=tuple(tuple(row.get(c, 0) for c in range(len(reps))) for row in rows),
+        rows=tuple(rows),
         builder="quotient",
     )
 
@@ -454,9 +467,8 @@ def export_dot(g: Multigraph) -> str:
     lines = ["graph G {"]
     for i, name in enumerate(g.states):
         lines.append('  n%d [label="%s"];' % (i, _dot_quote(name)))
-    for i in range(g.size):
-        for jdx in range(i, g.size):
-            count = g.matrix[i][jdx]
+    for i, row in enumerate(g.rows):
+        for jdx, count in sorted(edge for edge in row.items() if edge[0] >= i):
             labs = ()
             if g.edge_labels is not None:
                 labs = g.edge_labels.get((i, jdx), ())

@@ -293,9 +293,9 @@ def cmd_bijection(args) -> int:
 def _perturbed(g: automata.Multigraph, amount: int) -> automata.Multigraph:
     if not amount:
         return g
-    mat = [list(row) for row in g.matrix]
-    mat[0][0] += amount
-    return _dc_replace(g, matrix=tuple(tuple(row) for row in mat))
+    start = dict(g.rows[0])
+    start[0] = start.get(0, 0) + amount
+    return _dc_replace(g, rows=({b: m for b, m in start.items() if m},) + g.rows[1:])
 
 
 def _selftest_items(perturb: int, max_objects: Optional[int]):

@@ -259,12 +259,14 @@ def _splits(spec: EnumSpec) -> dict[tuple[int, int], int]:
 def count(spec: EnumSpec) -> int:
     """Number of admissible objects.
 
-    Without bounds each uncoloured object has r^arcs colourings; with
-    them, the colour-class walk of `_splits` counts them.  The cap still
-    counts every coloured object.
+    Without bounds each uncoloured object has r^arcs colourings, in all
+    `workload(spec)` unrefined; with them, the colour-class walk of
+    `_splits` counts them.  The cap still counts every coloured object.
     """
     _check_cap(spec)
     if spec.j is None and spec.k is None:
+        if spec.openers is None and spec.closers is None:
+            return workload(spec)
         r = spec.colours
         return sum(
             r ** sum(len(pairs) for pairs, _ in slices) for slices in _uncoloured(spec)

@@ -6,12 +6,14 @@ rounded), and large transfer matrices go through a modular characteristic
 polynomial with a rigorous coefficient bound, so the Chinese-remainder
 reconstruction is provably correct rather than heuristic.
 
-The generating function of closed walks at state 0 of a graph with
-adjacency A is det((I - xA) minor at 0) / det(I - xA); both determinants
-are reversed characteristic polynomials, which is what the fast path
-computes.  A companion power-series routine (repeated matrix application)
-gives the same coefficients by a different method, which the tests and the
-selftest compare.
+The closed walks at state 0 of an n-state graph with adjacency A have the
+generating function U = [(I - xA)^-1]_00 = N / D, with D = det(I - xA) a
+reversed characteristic polynomial and, by the adjugate formula, N the
+determinant of the minor of I - xA at 0, of degree below n.  So
+N = D * U mod x^n, and only D takes a determinant; the first n walk counts
+come from the power-series routine (repeated application of the sparse
+rows).  The tests and the selftest compare that routine with the
+recurrence of N / D, which checks D from term n on.
 """
 from __future__ import annotations
 
@@ -238,22 +240,6 @@ def det(matrix) -> IntPoly:
     return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
 
 
-def det_cofactor(matrix) -> IntPoly:
-    """Cofactor expansion; exponential, for cross-checking only."""
-    m = [[IntPoly._coerce(entry) for entry in row] for row in matrix]
-    n = len(m)
-    if n == 0:
-        return ONE
-    if n == 1:
-        return m[0][0]
-    total = IntPoly()
-    for c in range(n):
-        minor = [row[:c] + row[c + 1 :] for row in m[1:]]
-        term = m[0][c] * det_cofactor(minor)
-        total = total + term if c % 2 == 0 else total - term
-    return total
-
-
 # ---------------------------------------------------------------------------
 # characteristic polynomials, modulo primes, for the big transfer matrices
 
@@ -453,21 +439,15 @@ class RationalFunction:
 
 @dataclass(frozen=True)
 class Series:
-    """Initial coefficients of a counting series.
-
-    `offset` records how coefficient index maps to object size: coefficient
-    i counts objects of size i + offset (the gap-walk graphs shift set
-    partition counts by one).
-    """
+    """Initial coefficients of a counting series."""
 
     coeffs: tuple[int, ...]
-    offset: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
 
-def series(rf: RationalFunction, terms: int, offset: int = 0) -> Series:
+def series(rf: RationalFunction, terms: int) -> Series:
     """First `terms` coefficients of the power series of num/den.
 
     >>> series(RationalFunction(IntPoly([1, -1]), IntPoly([1, -3, 1])), 5).coeffs
@@ -488,36 +468,36 @@ def series(rf: RationalFunction, terms: int, offset: int = 0) -> Series:
         if acc % d0:
             raise ValueError("series has non-integer coefficients")
         out.append(acc // d0)
-    return Series(tuple(out), offset)
+    return Series(tuple(out))
 
 
 def gf_from_graph(g, max_states: Optional[int] = None) -> RationalFunction:
     """Closed-walk generating function at the start state of a graph.
 
+    One determinant, D = det(I - xA); the numerator, of degree below the
+    n states, is D times the first n walk counts, truncated below x^n.
     Guarded by a state cap (default 200): determinants of the very large
     cases reported as infeasible are refused rather than attempted.
     """
     cap = DEFAULT_MAX_GF_STATES if max_states is None else max_states
-    n = len(g.matrix)
+    n = len(g.rows)
     if n > cap:
         raise CapExceeded(
             "transfer matrix has %d states (cap %d); raise the cap to attempt it"
             % (n, cap)
         )
-    mat = [list(row) for row in g.matrix]
-    den = det_identity_minus_x(mat)
-    minor = [row[1:] for row in mat[1:]]
-    num = det_identity_minus_x(minor)
-    return RationalFunction(num, den)
+    den = det_identity_minus_x(g.matrix)
+    walks = IntPoly(series_by_power(g, n).coeffs)
+    return RationalFunction(IntPoly((den * walks).coeffs[:n]), den)
 
 
-def series_by_power(g, terms: int, offset: int = 0) -> Series:
+def series_by_power(g, terms: int) -> Series:
     """The same coefficients as `series(gf_from_graph(g), ...)`, by
-    repeatedly applying the adjacency matrix to the start vector."""
+    repeatedly applying the sparse adjacency rows to the start vector."""
     if terms < 0:
         raise ValueError("terms must be nonnegative")
-    mat = g.matrix
-    n = len(mat)
+    rows = g.rows
+    n = len(rows)
     if n == 0:
         raise ValueError("graph has no states")
     out: list[int] = []
@@ -525,10 +505,13 @@ def series_by_power(g, terms: int, offset: int = 0) -> Series:
     vec[0] = 1
     for _ in range(terms):
         out.append(vec[0])
-        vec = [
-            sum(vec[i] * mat[i][c] for i in range(n) if vec[i]) for c in range(n)
-        ]
-    return Series(tuple(out), offset)
+        nxt = [0] * n
+        for v, row in zip(vec, rows):
+            if v:
+                for c, count in row.items():
+                    nxt[c] += v * count
+        vec = nxt
+    return Series(tuple(out))
 
 
 def split_linear_factors(p: IntPoly):

@@ -1,4 +1,4 @@
-"""Slow reference paths for the tableau codecs, kept for the tests only.
+"""Slow reference paths, kept for the tests only.
 
 `validate_sequence` here is the two-pass validator the library replaced:
 it checks every shape with `is_partition_shape`, then classifies every
@@ -7,8 +7,15 @@ second time, `transpose_sequence` conjugates every shape and goes through
 the normalising `TableauSequence` constructor, and `involute_slice` chains
 them as the library's involution does.  The library's fast paths must
 agree with these on every input.
+
+`det_cofactor` is the exponential cofactor expansion that the
+fraction-free `ratfunc.det` must match, and `gf_by_minor` is the
+two-determinant generating function det((I - xA) minor at 0) /
+det(I - xA) that `ratfunc.gf_from_graph` replaced with one determinant
+and the walk series.
 """
 from crossnest.errors import ConsistencyError
+from crossnest.ratfunc import ONE, IntPoly, RationalFunction, det_identity_minus_x
 from crossnest.tableaux import (
     PartialTableau,
     TableauSequence,
@@ -115,3 +122,27 @@ def involute_slice(pairs, enhanced, n):
     """The image arcs of one `colour_slices` entry, by the reference chain."""
     encode = encode_hesitating if enhanced else encode_vacillating
     return decode(transpose_sequence(encode(pairs, n)))
+
+
+def det_cofactor(matrix) -> IntPoly:
+    """Cofactor expansion along the first row; exponential in the size."""
+    m = [[IntPoly._coerce(entry) for entry in row] for row in matrix]
+    n = len(m)
+    if n == 0:
+        return ONE
+    if n == 1:
+        return m[0][0]
+    total = IntPoly()
+    for c in range(n):
+        minor = [row[:c] + row[c + 1 :] for row in m[1:]]
+        term = m[0][c] * det_cofactor(minor)
+        total = total + term if c % 2 == 0 else total - term
+    return total
+
+
+def gf_by_minor(g) -> RationalFunction:
+    """The closed-walk generating function at state 0 of `g` as the ratio
+    of two determinants: the minor of I - xA at state 0 over I - xA."""
+    mat = g.matrix
+    minor = [row[1:] for row in mat[1:]]
+    return RationalFunction(det_identity_minus_x(minor), det_identity_minus_x(mat))

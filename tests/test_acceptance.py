@@ -11,6 +11,7 @@ from itertools import combinations, product
 
 import pytest
 
+from _reference import det_cofactor
 from crossnest import (
     EnumSpec,
     IntPoly,
@@ -37,7 +38,7 @@ from crossnest.published import (
     SETPARTITION_SERIES,
     TABLEAU_EXAMPLES,
 )
-from crossnest.ratfunc import det, det_cofactor
+from crossnest.ratfunc import det
 from crossnest.tableaux import (
     decode,
     encode_hesitating,
@@ -65,7 +66,7 @@ def test_criterion_2_setpartition_series():
     started = time.perf_counter()
     for r, prefix in sorted(SETPARTITION_SERIES.items()):
         rf = gf_from_graph(build_setpartition_22(r))
-        got = series(rf, 8, offset=1).coeffs
+        got = series(rf, 8).coeffs
         assert got == prefix[:8], "series differs at r=%d" % r
     _finish(started, 1, "set partition series to size 8, r=1..4")
 
@@ -231,7 +232,7 @@ def test_scale_limits_and_guards():
     """The largest cases that run, and the first that the caps refuse."""
     started = time.perf_counter()
     rf = gf_from_graph(build_setpartition_22(7))
-    first = series(rf, 4, offset=1).coeffs
+    first = series(rf, 4).coeffs
     # size 3 by hand: 49 + 21 + 1; size 4 by the oracle below
     assert first == (1, 8, 71, 715)
     assert oracle.count(EnumSpec("setpartition", 4, 7, j=2, k=2)) == 715
@@ -241,6 +242,6 @@ def test_scale_limits_and_guards():
         gf_from_graph(build_permutation_22(5))  # 252 states > 200
     # matrix powers still work past the determinant cap; the size-4 count
     # of r-coloured diagrams is r^3 + 7r^2 + 4r + 1 (checked at r=7 above)
-    big = series_by_power(build_setpartition_22(8), 4, offset=1).coeffs
+    big = series_by_power(build_setpartition_22(8), 4).coeffs
     assert big == (1, 9, 89, 993)
     _finish(started, 30, "scale limits: r=7/r=4 compute, r=8/r=5 are refused")

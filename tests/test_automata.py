@@ -7,6 +7,7 @@ from crossnest.automata import (
     Multigraph,
     build_general,
     build_permutation_22,
+    build_quotient,
     build_setpartition_22,
     export_dot,
 )
@@ -112,7 +113,7 @@ def test_bounded_box_partition_walks():
     # partitions of [n] with cr < 3 and ne < 3: Bell numbers up to n = 5,
     # then 203 - 2 at n = 6 (one triple crossing, one triple nesting)
     g = build_general("setpartition", 3, 3, 1)
-    walks = series_by_power(g, 6, offset=1).coeffs
+    walks = series_by_power(g, 6).coeffs
     assert walks == (1, 2, 5, 15, 52, 201)
 
 
@@ -137,6 +138,29 @@ def test_state_cap_refuses_before_enumerating():
     with pytest.raises(CapExceeded):
         build_general("setpartition", 2, 2, 3, max_states=4)
     build_general("setpartition", 2, 2, 3, max_states=8)
+
+
+@pytest.mark.parametrize("builder", [build_general, build_quotient])
+@pytest.mark.parametrize(
+    "family,j,k,r",
+    [
+        ("setpartition", 2, 2, 3),
+        ("setpartition", 3, 3, 2),
+        ("permutation", 2, 2, 2),
+        ("permutation", 3, 2, 2),
+    ],
+)
+def test_rows_are_sparse_and_match_the_dense_view(builder, family, j, k, r):
+    g = builder(family, j, k, r)
+    n = g.size
+    assert len(g.rows) == n
+    assert all(count > 0 for row in g.rows for count in row.values())
+    assert all(0 <= b < n for row in g.rows for b in row)
+    dense = tuple(tuple(row.get(b, 0) for b in range(n)) for row in g.rows)
+    assert g.matrix == dense
+    assert all(type(line) is tuple for line in g.matrix)
+    mirrored = all(dense[a][b] == dense[b][a] for a in range(n) for b in range(a))
+    assert g.is_symmetric() == mirrored
 
 
 # --- DOT export -------------------------------------------------------------
@@ -169,6 +193,6 @@ def test_dot_labels_escape_quotes():
         k=2,
         colours=1,
         states=('say "hi"',),
-        matrix=((0,),),
+        rows=({},),
     )
     assert '\\"hi\\"' in export_dot(g)

@@ -80,6 +80,31 @@ def test_workload_formula_counts_the_stream(family, n, r):
     assert workload(spec) == sum(1 for _ in enumerate_objects(spec))
 
 
+@pytest.mark.parametrize("family", ["permutation", "setpartition"])
+def test_unbounded_count_is_the_workload(monkeypatch, family):
+    """Without bounds or refinement every colouring is admissible, so
+    `count` is the sum of r^arcs over the uncoloured objects, which is
+    `workload`; it returns that without walking any object."""
+    cases = []
+    for n in range(7):
+        for r in (1, 2, 3):
+            spec = EnumSpec(family, n, colours=r)
+            colourings = sum(
+                r ** sum(len(pairs) for pairs, _ in slices)
+                for slices in oracle._uncoloured(spec)
+            )
+            cases.append((spec, colourings))
+
+    def refuse(spec):
+        raise AssertionError("count walked the objects")
+
+    monkeypatch.setattr(oracle, "_uncoloured", refuse)
+    for spec, colourings in cases:
+        assert count(spec) == workload(spec) == colourings
+        if spec.n <= 4:
+            assert count(spec) == sum(1 for _ in enumerate_objects(spec))
+
+
 def test_empty_ground_set():
     assert count(EnumSpec("permutation", 0, colours=3)) == 1
     assert count(EnumSpec("setpartition", 0)) == 1
@@ -248,7 +273,9 @@ def test_walk_builds_and_scores_each_object_once(monkeypatch, family, n, j, k):
         built.clear()
         scored.clear()
         run(spec)
-        assert len(built) == len(scored) == objects, run.__name__
+        # without bounds or refinement, count is the workload: nothing built
+        want = 0 if run is count and j is None and k is None else objects
+        assert len(built) == len(scored) == want, run.__name__
         for calls in scored:
             assert len(calls) == len(set(calls)), run.__name__
     assert sum(map(len, scored)) > 0  # the histogram scores through cr_ne

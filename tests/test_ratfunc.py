@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import det_cofactor, gf_by_minor
 from crossnest.automata import Multigraph, build_permutation_22, build_setpartition_22
 from crossnest import ratfunc
 from crossnest.errors import CapExceeded, ConsistencyError
@@ -13,7 +14,6 @@ from crossnest.ratfunc import (
     X,
     charpoly,
     det,
-    det_cofactor,
     det_identity_minus_x,
     gf_from_graph,
     poly_gcd,
@@ -168,13 +168,6 @@ def test_series_of_known_gf():
     assert series(rf, 6).coeffs == (1, 2, 5, 13, 34, 89)
 
 
-def test_series_offset_is_recorded():
-    rf = RationalFunction(ONE, IntPoly([1, -1]))
-    s = series(rf, 3, offset=1)
-    assert s.coeffs == (1, 1, 1)
-    assert s.offset == 1
-
-
 @given(st.lists(st.integers(-6, 6), max_size=4), st.lists(st.integers(-6, 6), max_size=4))
 @settings(max_examples=200)
 def test_series_satisfies_recurrence(num, den):
@@ -199,6 +192,18 @@ def test_series_matches_matrix_powers(build, r):
     assert series(gf_from_graph(g), 12).coeffs == series_by_power(g, 12).coeffs
 
 
+def _graph(dense) -> Multigraph:
+    """A one-colour graph with the given dense adjacency."""
+    return Multigraph(
+        family="setpartition",
+        j=2,
+        k=2,
+        colours=1,
+        states=tuple("s%d" % i for i in range(len(dense))),
+        rows=tuple({c: m for c, m in enumerate(row) if m} for row in dense),
+    )
+
+
 @st.composite
 def _symmetric_graphs(draw):
     n = draw(st.integers(1, 6))
@@ -206,14 +211,15 @@ def _symmetric_graphs(draw):
     for a in range(n):
         for b in range(a, n):
             rows[a][b] = rows[b][a] = draw(st.integers(0, 3))
-    return Multigraph(
-        family="setpartition",
-        j=2,
-        k=2,
-        colours=1,
-        states=tuple("s%d" % i for i in range(n)),
-        matrix=tuple(tuple(row) for row in rows),
-    )
+    return _graph(rows)
+
+
+@st.composite
+def _square_graphs(draw):
+    """Any square graph of 1-8 states with edge counts 0-3, most of them
+    not symmetric."""
+    n = draw(st.integers(1, 8))
+    return _graph([[draw(st.integers(0, 3)) for _ in range(n)] for _ in range(n)])
 
 
 @given(_symmetric_graphs())
@@ -222,16 +228,35 @@ def test_series_matches_matrix_powers_on_random_graphs(g):
     assert series(gf_from_graph(g), 12) == series_by_power(g, 12)
 
 
+@given(_square_graphs())
+@settings(max_examples=150, deadline=None)
+def test_gf_matches_the_minor_determinant(g):
+    assert gf_from_graph(g) == gf_by_minor(g)
+
+
+def test_gf_takes_one_determinant(monkeypatch):
+    sizes = []
+    full = ratfunc.det_identity_minus_x
+
+    def counting(mat):
+        sizes.append(len(mat))
+        return full(mat)
+
+    monkeypatch.setattr(ratfunc, "det_identity_minus_x", counting)
+    for g in (build_setpartition_22(3), build_permutation_22(2), _graph([[1]])):
+        del sizes[:]
+        gf_from_graph(g)
+        assert sizes == [g.size]
+
+
+def test_gf_of_a_graph_with_no_states_is_refused():
+    with pytest.raises(ValueError, match="no states"):
+        gf_from_graph(_graph([]))
+
+
 def test_gf_state_cap():
     n = 201
-    g = Multigraph(
-        family="setpartition",
-        j=2,
-        k=2,
-        colours=1,
-        states=tuple("s%d" % i for i in range(n)),
-        matrix=tuple((0,) * n for _ in range(n)),
-    )
+    g = _graph([(0,) * n for _ in range(n)])
     with pytest.raises(CapExceeded):
         gf_from_graph(g)
     assert gf_from_graph(g, max_states=n).num == ONE
