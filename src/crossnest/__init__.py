@@ -38,7 +38,6 @@ from .ratfunc import (
     split_linear_factors,
 )
 from .tableaux import (
-    PartialTableau,
     TableauKind,
     TableauSequence,
     decode,
@@ -59,7 +58,6 @@ __all__ = [
     "IntPoly",
     "JointHistogram",
     "Multigraph",
-    "PartialTableau",
     "RationalFunction",
     "Series",
     "TableauKind",

@@ -23,6 +23,7 @@ and CROSSNEST_MAX_ORACLE (enumeration workload).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -469,7 +470,9 @@ def cmd_selftest(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser every `main` call shares; parsing leaves it as built."""
     parser = _Parser(
         prog="crossnest",
         description="Coloured diagram statistics, transfer graphs and "

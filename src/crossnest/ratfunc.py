@@ -518,6 +518,10 @@ def split_linear_factors(p: IntPoly):
     """Write p as constant * product of (1 - m*x), if it splits over the
     integers; returns (constant, sorted slopes) or None.
 
+    Every slope divides the leading coefficient, and if p = a0 * prod(1 -
+    m_i*x) then sum(m_i^2) = (a1^2 - 2*a0*a2) / a0^2, so no slope exceeds
+    the square root of that in size: only divisors up to it are tried.
+
     >>> split_linear_factors(IntPoly([1, -8, 12]))
     (1, (2, 6))
     """
@@ -526,8 +530,13 @@ def split_linear_factors(p: IntPoly):
     work = p
     slopes: list[int] = []
     while work.degree() >= 1:
-        lead = abs(work.coeffs[-1])
-        for m in _divisor_candidates(lead):
+        a0, a1, a2 = (work.coeffs + (0,))[:3]
+        if a0 == 0:
+            return None
+        squares, rest = divmod(a1 * a1 - 2 * a0 * a2, a0 * a0)
+        if squares < 0 or rest:
+            return None
+        for m in _divisor_candidates(abs(work.coeffs[-1]), isqrt(squares)):
             total = 0
             for c in work.coeffs:  # ascending: total = m^deg * work(1/m)
                 total = total * m + c
@@ -540,11 +549,14 @@ def split_linear_factors(p: IntPoly):
     return (work.coeffs[0], tuple(sorted(slopes)))
 
 
-def _divisor_candidates(n: int):
+def _divisor_candidates(n: int, bound: int):
+    """The divisors d <= bound of n, smallest first, each as d and -d."""
     divs = set()
-    for d in range(1, isqrt(n) + 1):
+    for d in range(1, min(isqrt(n), bound) + 1):
         if n % d == 0:
-            divs.update((d, n // d))
+            divs.add(d)
+            if n // d <= bound:
+                divs.add(n // d)
     for d in sorted(divs):
         yield d
         yield -d

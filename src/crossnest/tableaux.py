@@ -1,10 +1,9 @@
-"""Sequences of partial standard tableaux encoding arc diagrams.
+"""Tableau walks encoding arc diagrams.
 
 A partial standard Young tableau holds distinct positive labels, strictly
 increasing along rows and down columns.  Walking an arc diagram left to
-right and recording the tableau after every action produces a sequence of
-shapes, all starting and ending empty; the flavour of the walk depends on
-the diagram kind:
+right through one tableau produces a sequence of shapes, all starting and
+ending empty; the flavour of the walk depends on the diagram kind:
 
 * semi-oscillating (one step per vertex, for partial matchings): an opener
   inserts the label of its future partner, a closer deletes its own label,
@@ -21,8 +20,9 @@ the diagram kind:
 Insertion is ordinary row bumping.  Deletion removes the minimal label from
 the top-left corner and closes the hole by jeu de taquin.  Both are
 reversible from the shape difference alone, which is what `decode` uses:
-a sequence of shapes of the right flavour determines the diagram with no
-fillings required.
+a walk is its shapes.  A `TableauSequence` stores only `kind`, `n` and
+`shapes`; its `fillings` are derived on demand by decoding the shapes and
+replaying the walk, so the encoders record shapes and nothing else.
 
 `validate_sequence` checks a sequence in one pass from the empty shape and
 returns its steps, the box each step adds or removes; `decode` undoes those
@@ -35,7 +35,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
 
 from .errors import ConsistencyError
 
@@ -88,57 +87,6 @@ def conjugate(shape: Shape) -> Shape:
     return tuple(
         sum(1 for p in shape if p > col) for col in range(shape[0])
     )
-
-
-class PartialTableau:
-    """An immutable partial standard Young tableau.
-
-    >>> t = PartialTableau(((3, 5), (4,)))
-    >>> t.shape
-    (2, 1)
-    >>> sorted(t.entries())
-    [3, 4, 5]
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Iterable[Iterable[int]] = ()):
-        rows = tuple(tuple(row) for row in rows)
-        for row in rows:
-            if any(x >= y for x, y in zip(row, row[1:])):
-                raise ValueError("rows must increase strictly")
-            if any(x < 1 for x in row):
-                raise ValueError("labels must be positive")
-        if any(len(a) < len(b) for a, b in zip(rows, rows[1:])) or (
-            rows and not rows[-1]
-        ):
-            raise ValueError("row lengths must decrease weakly and stay nonempty")
-        for upper, lowerr in zip(rows, rows[1:]):
-            if any(upper[i] >= lowerr[i] for i in range(len(lowerr))):
-                raise ValueError("columns must increase strictly")
-        flat = [x for row in rows for x in row]
-        if len(set(flat)) != len(flat):
-            raise ValueError("labels must be distinct")
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PartialTableau is immutable")
-
-    @property
-    def shape(self) -> Shape:
-        return tuple(len(row) for row in self.rows)
-
-    def entries(self) -> list[int]:
-        return [x for row in self.rows for x in row]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PartialTableau) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(("PartialTableau", self.rows))
-
-    def __repr__(self) -> str:
-        return "PartialTableau(%r)" % (self.rows,)
 
 
 # ---------------------------------------------------------------------------
@@ -223,78 +171,46 @@ def _undelete_rows(rows: list[list[int]], cell: tuple[int, int], label: int) -> 
     rows[0][0] = label
 
 
-def rsk_insert(t: PartialTableau, label: int) -> PartialTableau:
-    """Row-insert a fresh label.
-
-    >>> rsk_insert(PartialTableau(((3,),)), 4).rows
-    ((3, 4),)
-    >>> rsk_insert(PartialTableau(((4,),)), 3).rows
-    ((3,), (4,))
-    """
-    if label in t.entries():
-        raise ValueError("label %d already present" % label)
-    if label < 1:
-        raise ValueError("labels must be positive")
-    rows = [list(row) for row in t.rows]
-    _insert_rows(rows, label)
-    return PartialTableau(rows)
-
-
-def rsk_delete(t: PartialTableau, label: int) -> PartialTableau:
-    """Delete `label`, which must be the minimal entry, at the corner.
-
-    >>> rsk_delete(PartialTableau(((3,), (4,))), 3).rows
-    ((4,),)
-    >>> rsk_delete(PartialTableau(((3, 4),)), 4)
-    Traceback (most recent call last):
-        ...
-    ValueError: label 4 is not the minimal entry
-    """
-    if not t.rows or t.rows[0][0] != label:
-        raise ValueError("label %d is not the minimal entry" % label)
-    rows = [list(row) for row in t.rows]
-    _delete_min_rows(rows)
-    return PartialTableau(rows)
-
-
 # ---------------------------------------------------------------------------
 # sequences
 
 
 @dataclass(frozen=True)
 class TableauSequence:
-    """Shapes (and optionally fillings) visited while walking a diagram."""
+    """The shapes visited while walking a diagram; they alone determine it.
+
+    `fillings` is derived, not stored: the tableau after every step,
+    replayed from the arcs that `decode` reads off the shapes.
+
+    >>> encode_semioscillating([(1, 3), (2, 4)], 4).fillings
+    ((), ((3,),), ((3, 4),), ((4,),), ())
+    """
 
     kind: TableauKind
     n: int
     shapes: tuple[Shape, ...]
-    fillings: Optional[tuple[Rows, ...]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "shapes", tuple(tuple(s) for s in self.shapes))
-        if self.fillings is not None:
-            object.__setattr__(
-                self,
-                "fillings",
-                tuple(tuple(tuple(r) for r in f) for f in self.fillings),
-            )
+
+    @property
+    def fillings(self) -> tuple[Rows, ...]:
+        return _walk(self.kind, decode(self), self.n, _filling)
 
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind.value,
             "n": self.n,
             "shapes": [list(s) for s in self.shapes],
-            "fillings": None
-            if self.fillings is None
-            else [[list(r) for r in f] for f in self.fillings],
+            "fillings": [[list(r) for r in f] for f in self.fillings],
         }
 
 
-def _built(kind: TableauKind, n: int, shapes, fillings) -> TableauSequence:
-    """A sequence from shapes and fillings that are tuples all the way down
-    already, skipping the normalising `__post_init__`."""
+def _built(kind: TableauKind, n: int, shapes) -> TableauSequence:
+    """A sequence from shapes that are tuples all the way down already,
+    skipping the normalising `__post_init__`."""
     seq = object.__new__(TableauSequence)
-    seq.__dict__.update(kind=kind, n=n, shapes=shapes, fillings=fillings)
+    seq.__dict__.update(kind=kind, n=n, shapes=shapes)
     return seq
 
 
@@ -374,12 +290,6 @@ def validate_sequence(seq: TableauSequence) -> list:
         prev = cur
     if prev != ():
         _fault(shapes, len(shapes), "sequences must start and end empty")
-    if seq.fillings is not None:
-        if len(seq.fillings) != len(shapes):
-            raise ValueError("need one filling per shape")
-        for rows, shape in dict.fromkeys(zip(seq.fillings, shapes)):
-            if PartialTableau(rows).shape != shape:
-                raise ValueError("filling does not match its shape")
     return steps
 
 
@@ -402,14 +312,23 @@ def _check_arcs(pairs, n, allow_loops: bool):
     return cleaned
 
 
-def _walk(kind: TableauKind, arcs, n: int) -> TableauSequence:
-    """Walk checked arcs over vertices 1..n, recording the shape and the
-    filling after every half-step of `kind.half_steps`."""
+def _shape(rows) -> Shape:
+    return tuple(map(len, rows))
+
+
+def _filling(rows) -> Rows:
+    return tuple(map(tuple, rows))
+
+
+def _walk(kind: TableauKind, arcs, n: int, snapshot) -> tuple:
+    """Walk checked arcs over vertices 1..n through the half-steps of
+    `kind.half_steps`; return `snapshot(rows)` before the first and after
+    every half-step."""
     steps = kind.half_steps
     opens = {a: b for a, b in arcs}
     closes = {b for _, b in arcs}
     rows: list[list[int]] = []
-    entry: tuple[Shape, Rows] = ((), ())  # the shape and filling so far
+    entry = snapshot(rows)
     trail = [entry]
     for v in range(1, n + 1):
         for step in steps:
@@ -417,15 +336,14 @@ def _walk(kind: TableauKind, arcs, n: int) -> TableauSequence:
                 if not rows or rows[0][0] != v:
                     raise ValueError("arc endpoints out of order at vertex %d" % v)
                 _delete_min_rows(rows)
-                entry = tuple(map(len, rows)), tuple(map(tuple, rows))
+                entry = snapshot(rows)
             elif step != "close" and v in opens:
                 _insert_rows(rows, opens[v])
-                entry = tuple(map(len, rows)), tuple(map(tuple, rows))
+                entry = snapshot(rows)
             trail.append(entry)
     if rows:
         raise ConsistencyError("the %s walk must end empty" % kind.value)
-    shapes, fills = zip(*trail)
-    return _built(kind, n, shapes, fills)
+    return tuple(trail)
 
 
 def encode_vacillating(pairs, n: int) -> TableauSequence:
@@ -437,7 +355,9 @@ def encode_vacillating(pairs, n: int) -> TableauSequence:
     >>> seq.shapes[2], seq.shapes[8]
     ((1,), (1, 1))
     """
-    return _walk(TableauKind.VACILLATING, _check_arcs(pairs, n, allow_loops=False), n)
+    kind = TableauKind.VACILLATING
+    arcs = _check_arcs(pairs, n, allow_loops=False)
+    return _built(kind, n, _walk(kind, arcs, n, _shape))
 
 
 def encode_hesitating(pairs, n: int) -> TableauSequence:
@@ -449,7 +369,9 @@ def encode_hesitating(pairs, n: int) -> TableauSequence:
     >>> seq.shapes[5], seq.shapes[7]
     ((2, 1), (3,))
     """
-    return _walk(TableauKind.HESITATING, _check_arcs(pairs, n, allow_loops=True), n)
+    kind = TableauKind.HESITATING
+    arcs = _check_arcs(pairs, n, allow_loops=True)
+    return _built(kind, n, _walk(kind, arcs, n, _shape))
 
 
 def encode_semioscillating(pairs, n: int) -> TableauSequence:
@@ -462,7 +384,8 @@ def encode_semioscillating(pairs, n: int) -> TableauSequence:
     arcs = _check_arcs(pairs, n, allow_loops=False)
     if {a for a, _ in arcs} & {b for _, b in arcs}:
         raise ValueError("matching arcs must be vertex-disjoint")
-    return _walk(TableauKind.SEMI_OSCILLATING, arcs, n)
+    kind = TableauKind.SEMI_OSCILLATING
+    return _built(kind, n, _walk(kind, arcs, n, _shape))
 
 
 def decode(seq: TableauSequence) -> tuple[tuple[int, int], ...]:
@@ -504,11 +427,10 @@ def decode(seq: TableauSequence) -> tuple[tuple[int, int], ...]:
 
 
 def transpose_sequence(seq: TableauSequence) -> TableauSequence:
-    """Conjugate every shape, each distinct one once; fillings are dropped
-    (decode never needs them).
+    """Conjugate every shape, each distinct one once.
 
     >>> transpose_sequence(encode_semioscillating([(1, 2)], 2)).shapes
     ((), (1,), ())
     """
     conjugates = {s: conjugate(s) for s in set(seq.shapes)}
-    return _built(seq.kind, seq.n, tuple(map(conjugates.__getitem__, seq.shapes)), None)
+    return _built(seq.kind, seq.n, tuple(map(conjugates.__getitem__, seq.shapes)))

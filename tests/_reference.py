@@ -8,17 +8,26 @@ the normalising `TableauSequence` constructor, and `involute_slice` chains
 them as the library's involution does.  The library's fast paths must
 agree with these on every input.
 
+`record_fillings` is the recording walk the encoders used when every
+sequence stored its fillings: it runs straight from the arcs and keeps
+the tableau after every half-step, which the derived
+`TableauSequence.fillings` must reproduce.
+
 `det_cofactor` is the exponential cofactor expansion that the
 fraction-free `ratfunc.det` must match, and `gf_by_minor` is the
 two-determinant generating function det((I - xA) minor at 0) /
 det(I - xA) that `ratfunc.gf_from_graph` replaced with one determinant
-and the walk series.
+and the walk series.  `split_linear_factors` trial-divides by every
+divisor of the leading coefficient, with no bound on the slopes.
 """
+from math import isqrt
+
 from crossnest.errors import ConsistencyError
 from crossnest.ratfunc import ONE, IntPoly, RationalFunction, det_identity_minus_x
 from crossnest.tableaux import (
-    PartialTableau,
     TableauSequence,
+    _delete_min_rows,
+    _insert_rows,
     _undelete_rows,
     _uninsert_rows,
     conjugate,
@@ -76,12 +85,6 @@ def validate_sequence(seq):
                 "%s shapes may not %s at %s step %d" % (seq.kind.value, change, parity, i)
             )
         classified.append((tag, cell))
-    if seq.fillings is not None:
-        if len(seq.fillings) != len(shapes):
-            raise ValueError("need one filling per shape")
-        for rows, shape in zip(seq.fillings, shapes):
-            if PartialTableau(rows).shape != shape:
-                raise ValueError("filling does not match its shape")
     return classified
 
 
@@ -115,7 +118,27 @@ def decode(seq):
 
 def transpose_sequence(seq):
     """Conjugate every shape, repeats included, through the public constructor."""
-    return TableauSequence(seq.kind, seq.n, tuple(conjugate(s) for s in seq.shapes), None)
+    return TableauSequence(seq.kind, seq.n, tuple(conjugate(s) for s in seq.shapes))
+
+
+def record_fillings(kind, arcs, n):
+    """The filling after every half-step of the `kind` walk of `arcs` over
+    vertices 1..n, the empty start included."""
+    opens = {a: b for a, b in arcs}
+    closes = {b for _, b in arcs}
+    rows = []
+    filling = ()
+    trail = [filling]
+    for v in range(1, n + 1):
+        for step in kind.half_steps:
+            if step != "open" and v in closes:
+                _delete_min_rows(rows)
+                filling = tuple(map(tuple, rows))
+            elif step != "close" and v in opens:
+                _insert_rows(rows, opens[v])
+                filling = tuple(map(tuple, rows))
+            trail.append(filling)
+    return tuple(trail)
 
 
 def involute_slice(pairs, enhanced, n):
@@ -146,3 +169,29 @@ def gf_by_minor(g) -> RationalFunction:
     mat = g.matrix
     minor = [row[1:] for row in mat[1:]]
     return RationalFunction(det_identity_minus_x(minor), det_identity_minus_x(mat))
+
+
+def split_linear_factors(p):
+    """Constant and sorted slopes of p = constant * prod(1 - m*x), or None,
+    trying every divisor of the leading coefficient as a slope."""
+    if p.is_zero():
+        return None
+    work = p
+    slopes = []
+    while work.degree() >= 1:
+        lead = abs(work.coeffs[-1])
+        divs = set()
+        for d in range(1, isqrt(lead) + 1):
+            if lead % d == 0:
+                divs.update((d, lead // d))
+        for m in (s for d in sorted(divs) for s in (d, -d)):
+            total = 0
+            for c in work.coeffs:
+                total = total * m + c
+            if total == 0:
+                work = work.exact_div(IntPoly([1, -m]))
+                slopes.append(m)
+                break
+        else:
+            return None
+    return (work.coeffs[0], tuple(sorted(slopes)))

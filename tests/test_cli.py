@@ -124,6 +124,19 @@ def test_gf_factored_denominator(capsys):
     assert "denominator factors: (1 - 2*x)*(1 - 6*x)" in out.splitlines()
 
 
+def test_gf_with_a_large_leading_coefficient_finishes(capsys):
+    """The denominator's 98-bit leading coefficient does not split, and
+    trying every divisor up to its square root never finished."""
+    code, out, _ = run_cli(
+        capsys, "gf", "--family", "permutation", "--j", "4", "--k", "2",
+        "--colours", "3",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["numerator", "denominator"]
+    assert lines[1].startswith("denominator: 1 - 308*x + 45621*x^2")
+
+
 def test_gf_json_schema(capsys):
     code, out, _ = run_cli(
         capsys, "gf", "--family", "permutation", "--colours", "3", "--json"
@@ -262,6 +275,16 @@ def test_bijection_json_schema(capsys):
     assert [entry["colour"] for entry in payload["trace"]] == [1, 2]
     assert payload["trace"][0]["upper"]["kind"] == "hesitating"
     assert payload["trace"][0]["lower"]["kind"] == "vacillating"
+
+
+def test_bijection_json_schema_without_trace(capsys):
+    code, out, _ = run_cli(
+        capsys, "bijection", "--input", "4 5 3 6 2 1 / 1 2 1 2 2 2", "--json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    _validate("bijection", payload)
+    assert payload["trace"] is None
 
 
 def test_bijection_partition_trace(capsys):
@@ -428,6 +451,20 @@ def test_build_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("CROSSNEST_MAX_STATES", "3")
     code, _, _ = run_cli(capsys, "graph", "--family", "setpartition", "--colours", "2")
     assert code == 2
+
+
+def test_main_builds_its_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    argv = ["count", "--family", "permutation", "--n", "3"]
+    assert run_cli(capsys, *argv)[0] == run_cli(capsys, *argv)[0] == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_flags_do_not_carry_over_between_calls(capsys):
+    argv = ["count", "--family", "permutation", "--n", "3"]
+    assert json.loads(run_cli(capsys, *argv, "--json")[1])["count"] == 6
+    assert run_cli(capsys, *argv) == (0, "count: 6\n", "")
 
 
 def test_version_flag():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import det_cofactor, gf_by_minor
+from _reference import split_linear_factors as unbounded_split
 from crossnest.automata import Multigraph, build_permutation_22, build_setpartition_22
 from crossnest import ratfunc
 from crossnest.errors import CapExceeded, ConsistencyError
@@ -278,6 +279,43 @@ def test_split_linear_factors():
     assert split_linear_factors(IntPoly([1, -3, 1])) is None
     assert split_linear_factors(IntPoly([5])) == (5, ())
     assert split_linear_factors(IntPoly([1, 2])) == (1, (-2,))
+    assert split_linear_factors(IntPoly([0, 1])) is None  # x has no constant
+    assert split_linear_factors(IntPoly([1, 0, 1])) is None  # sum of squares -2
+
+
+def test_split_tries_only_slopes_the_squares_allow(monkeypatch):
+    """30! leads the product, about 1.6e16 divisor trials unbounded; the
+    sum of squares 9455 allows slopes up to 97 only."""
+    candidates = ratfunc._divisor_candidates
+    bounds, tried = [], []
+
+    def counted(n, bound):
+        bounds.append(bound)
+        got = list(candidates(n, bound))
+        assert all(n % d == 0 and abs(d) <= bound for d in got)
+        tried.extend(got)
+        return iter(got)
+
+    monkeypatch.setattr(ratfunc, "_divisor_candidates", counted)
+    p = ONE
+    for m in range(1, 31):
+        p = p * IntPoly([1, -m])
+    assert split_linear_factors(p) == (1, tuple(range(1, 31)))
+    assert len(bounds) == 30 and max(bounds) == 97
+    assert sum(bounds) <= 30 * 97 and len(tried) <= 30 * 2 * 97
+
+
+@given(
+    st.integers(-6, 6).filter(bool),
+    st.lists(st.integers(-12, 12).filter(bool), max_size=5),
+    st.lists(st.integers(-9, 9), max_size=3),
+)
+@settings(max_examples=300)
+def test_split_matches_the_unbounded_reference(constant, slopes, extra):
+    p = IntPoly([constant]) * IntPoly(extra or [1])
+    for m in slopes:
+        p = p * IntPoly([1, -m])
+    assert split_linear_factors(p) == unbounded_split(p)
 
 
 @given(st.lists(st.integers(-8, 8).filter(bool), min_size=1, max_size=4))

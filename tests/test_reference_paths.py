@@ -1,5 +1,5 @@
-"""The one-pass validator and the involution against the slow reference
-paths of `_reference.py`."""
+"""The one-pass validator, the derived fillings and the involution against
+the slow reference paths of `_reference.py`."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,9 +27,9 @@ ENCODERS = {
 
 
 @st.composite
-def diagram_walks(draw):
-    """The encoded walk of a random diagram of up to 8 vertices that the
-    drawn flavour accepts: loops only for hesitating walks, vertex-disjoint
+def diagrams(draw):
+    """A flavour and a random diagram of up to 8 vertices that it accepts,
+    as (kind, arcs, n): loops only for hesitating walks, vertex-disjoint
     arcs for semi-oscillating ones."""
     kind = draw(st.sampled_from(sorted(ENCODERS, key=lambda k: k.value)))
     n = draw(st.integers(0, 8))
@@ -45,7 +45,15 @@ def diagram_walks(draw):
             b = draw(st.sampled_from(free))
             ends.add(b)
             arcs.append((a, b))
+    return kind, arcs, n
+
+
+def _encoded(case):
+    kind, arcs, n = case
     return ENCODERS[kind](arcs, n)
+
+
+diagram_walks = diagrams().map(_encoded)
 
 
 def _addable(shape):
@@ -85,7 +93,7 @@ def lattice_walks(draw):
     return TableauSequence(TableauKind.SEMI_OSCILLATING, len(shapes) - 1, tuple(shapes))
 
 
-walks = st.one_of(diagram_walks(), lattice_walks())
+walks = st.one_of(diagram_walks, lattice_walks())
 
 
 def _outcome(validate, seq):
@@ -95,13 +103,8 @@ def _outcome(validate, seq):
         return ("error", str(exc))
 
 
-def _with(seq, shapes=None, fillings=None):
-    return TableauSequence(
-        seq.kind,
-        seq.n,
-        seq.shapes if shapes is None else shapes,
-        seq.fillings if fillings is None else fillings,
-    )
+def _with(seq, shapes):
+    return TableauSequence(seq.kind, seq.n, shapes)
 
 
 def _replace(shapes, i, shape):
@@ -176,29 +179,12 @@ def _nonempty_end(seq, data):
     return _with(seq, _replace(seq.shapes, i, (1,))), "sequences must start and end empty"
 
 
-def _filling_mismatch(seq, data):
-    if seq.fillings is None:
-        return None
-    i = data.draw(st.integers(0, len(seq.shapes) - 1))
-    extra_row = seq.fillings[i] + ((99,),)
-    fillings = seq.fillings[:i] + (extra_row,) + seq.fillings[i + 1 :]
-    return _with(seq, fillings=fillings), "filling does not match its shape"
-
-
-def _missing_filling(seq, data):
-    if seq.fillings is None:
-        return None
-    return _with(seq, fillings=seq.fillings[:-1]), "need one filling per shape"
-
-
 FAULTS = {
     "zero part": _zero_part,
     "bad row": _bad_row,
     "two-box jump": _two_box_jump,
     "wrong parity": _wrong_parity,
     "nonempty end": _nonempty_end,
-    "filling mismatch": _filling_mismatch,
-    "missing filling": _missing_filling,
 }
 
 
@@ -236,6 +222,28 @@ def test_validators_agree_on_any_replaced_shape(seq, data, shape):
     i = data.draw(st.integers(0, len(seq.shapes) - 1))
     bad = _with(seq, _replace(seq.shapes, i, shape))
     assert _outcome(validate_sequence, bad) == _outcome(reference.validate_sequence, bad)
+
+
+# --- fillings derived from the shapes against the recording walk -----------
+
+
+@given(diagrams())
+@settings(max_examples=300)
+def test_derived_fillings_match_the_recording_walk(case):
+    kind, arcs, n = case
+    seq = ENCODERS[kind](arcs, n)
+    assert seq.fillings == reference.record_fillings(kind, arcs, n)
+    assert [tuple(map(len, rows)) for rows in seq.fillings] == list(seq.shapes)
+
+
+@given(diagrams())
+@settings(max_examples=300)
+def test_transposed_fillings_are_the_image_walk(case):
+    kind, arcs, n = case
+    image = transpose_sequence(ENCODERS[kind](arcs, n))
+    image_arcs = decode(image)
+    assert image.fillings == reference.record_fillings(kind, image_arcs, n)
+    assert image.to_json_dict() == ENCODERS[kind](image_arcs, n).to_json_dict()
 
 
 # --- the involution against the reference chain, exhaustively ---------------

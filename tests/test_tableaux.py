@@ -1,4 +1,6 @@
-"""Tableau walks: encoders, decoder, RSK primitives, orientation."""
+"""Tableau walks: encoders, decoder, derived fillings, RSK row moves,
+orientation."""
+import dataclasses
 import re
 
 import pytest
@@ -8,9 +10,10 @@ from hypothesis import strategies as st
 from crossnest.errors import ConsistencyError
 from crossnest.published import TABLEAU_EXAMPLES
 from crossnest.tableaux import (
-    PartialTableau,
     TableauKind,
     TableauSequence,
+    _delete_min_rows,
+    _insert_rows,
     _undelete_rows,
     _uninsert_rows,
     conjugate,
@@ -19,8 +22,6 @@ from crossnest.tableaux import (
     encode_semioscillating,
     encode_vacillating,
     is_partition_shape,
-    rsk_delete,
-    rsk_insert,
     transpose_sequence,
     validate_sequence,
 )
@@ -32,7 +33,26 @@ ENCODERS = {
 }
 
 
-# --- shapes and partial tableaux -------------------------------------------
+# --- shapes and the RSK row moves on partial tableaux -----------------------
+
+
+def _check_tableau(rows):
+    """Raise ValueError unless `rows` is a partial standard Young tableau:
+    distinct positive labels, rows and columns strictly increasing, row
+    lengths weakly decreasing and nonzero."""
+    for row in rows:
+        if any(x >= y for x, y in zip(row, row[1:])):
+            raise ValueError("rows must increase strictly")
+        if any(x < 1 for x in row):
+            raise ValueError("labels must be positive")
+    if any(len(a) < len(b) for a, b in zip(rows, rows[1:])) or (rows and not rows[-1]):
+        raise ValueError("row lengths must decrease weakly and stay nonempty")
+    for upper, lower in zip(rows, rows[1:]):
+        if any(upper[i] >= lower[i] for i in range(len(lower))):
+            raise ValueError("columns must increase strictly")
+    flat = [x for row in rows for x in row]
+    if len(set(flat)) != len(flat):
+        raise ValueError("labels must be distinct")
 
 
 def test_shape_helpers():
@@ -45,42 +65,43 @@ def test_shape_helpers():
 
 
 def test_partial_tableau_validation():
-    PartialTableau([[1, 3], [2]])
+    _check_tableau([[1, 3], [2]])
     with pytest.raises(ValueError):
-        PartialTableau([[3, 1]])  # row not increasing
+        _check_tableau([[3, 1]])  # row not increasing
     with pytest.raises(ValueError):
-        PartialTableau([[1], [1]])  # duplicate entry
+        _check_tableau([[1], [1]])  # duplicate entry
     with pytest.raises(ValueError):
-        PartialTableau([[2], [1]])  # column not increasing
+        _check_tableau([[2], [1]])  # column not increasing
     with pytest.raises(ValueError):
-        PartialTableau([[1], [2, 3]])  # row lengths increase
+        _check_tableau([[1], [2, 3]])  # row lengths increase
+    with pytest.raises(ValueError):
+        _check_tableau([[1], []])  # empty row
 
 
 def test_rsk_insert_bumps():
-    t = PartialTableau()
-    for label in (4, 5, 3):
-        t = rsk_insert(t, label)
-    assert t.rows == ((3, 5), (4,))
-    with pytest.raises(ValueError):
-        rsk_insert(t, 4)  # already present
+    rows = []
+    cells = [_insert_rows(rows, label) for label in (4, 5, 3)]
+    assert rows == [[3, 5], [4]]
+    assert cells == [(0, 0), (0, 1), (1, 0)]
 
 
 def test_rsk_delete_removes_minimum():
-    t = PartialTableau([[3, 5], [4]])
-    t = rsk_delete(t, 3)
-    assert t.rows == ((4, 5),)
-    with pytest.raises(ValueError):
-        rsk_delete(t, 5)  # not the minimum
+    rows = [[3, 5], [4]]
+    assert _delete_min_rows(rows) == (1, 0)
+    assert rows == [[4, 5]]
 
 
 @given(st.lists(st.integers(1, 50), unique=True, max_size=12))
 def test_deleting_minima_empties_any_tableau(labels):
-    t = PartialTableau()
+    rows = []
     for label in labels:
-        t = rsk_insert(t, label)
+        _insert_rows(rows, label)
+        _check_tableau(rows)
     for label in sorted(labels):
-        t = rsk_delete(t, label)
-    assert t.rows == ()
+        assert rows[0][0] == label
+        _delete_min_rows(rows)
+        _check_tableau(rows)
+    assert rows == []
 
 
 # --- the row helpers refuse rows they could not have produced ---------------
@@ -152,12 +173,10 @@ def test_sequences_start_and_end_empty():
         validate_sequence(_bare("semioscillating", 1, [(), (1,)]))
 
 
-def test_filling_shapes_must_match():
-    seq = TableauSequence(
-        TableauKind("semioscillating"), 1, ((), ()), (((1,),), ())
-    )
-    with pytest.raises(ValueError):
-        validate_sequence(seq)
+def test_sequences_take_no_fillings():
+    assert [f.name for f in dataclasses.fields(TableauSequence)] == ["kind", "n", "shapes"]
+    with pytest.raises(TypeError):
+        TableauSequence(TableauKind("semioscillating"), 1, ((), ()), ((), ()))
 
 
 @pytest.mark.parametrize(
@@ -177,12 +196,10 @@ def test_decode_rejects_a_walk_that_leaves_the_partitions(shapes, bad):
 
 def test_transpose_twice_on_sequences_built_with_lists():
     seq = TableauSequence(
-        TableauKind.VACILLATING,
-        4,
-        [[], [], [1], [1], [1, 1], [1], [1], [], []],
-        [[], [], [[4]], [[4]], [[3], [4]], [[4]], [[4]], [], []],
+        TableauKind.VACILLATING, 4, [[], [], [1], [1], [1, 1], [1], [1], [], []]
     )
     assert seq == encode_vacillating([(1, 4), (2, 3)], 4)
+    assert seq.fillings == ((), (), ((4,),), ((4,),), ((3,), (4,)), ((4,),), ((4,),), (), ())
     image = transpose_sequence(seq)
     assert image.shapes == ((), (), (1,), (1,), (2,), (1,), (1,), (), ())
     assert transpose_sequence(image).shapes == seq.shapes
