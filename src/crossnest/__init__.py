@@ -17,8 +17,6 @@ from .diagrams import (
     VertexKind,
     closers,
     cr_ne,
-    enhanced_arcs,
-    is_ncn,
     max_crossing,
     max_nesting,
     openers,
@@ -74,12 +72,10 @@ __all__ = [
     "encode_hesitating",
     "encode_semioscillating",
     "encode_vacillating",
-    "enhanced_arcs",
     "enumerate_objects",
     "export_dot",
     "gf_from_graph",
     "involute",
-    "is_ncn",
     "joint_histogram",
     "max_crossing",
     "max_nesting",

@@ -47,16 +47,20 @@ class _Parser(argparse.ArgumentParser):
         raise _Usage("%s%s: error: %s" % (self.format_usage(), self.prog, message))
 
 
-def _cap(flag_value: Optional[int], env_name: str) -> Optional[int]:
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(env_name)
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError("%s must be an integer, got %r" % (env_name, raw)) from None
+def _cap(flag_value: Optional[int], flag: str, env_name: str) -> Optional[int]:
+    """The cap from `flag`, else from the variable `env_name`, else None."""
+    source, value = flag, flag_value
+    if value is None:
+        source, raw = env_name, os.environ.get(env_name)
+        if not raw:
+            return None
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValueError("%s must be an integer, got %r" % (env_name, raw)) from None
+    if value < 0:
+        raise ValueError("%s must be nonnegative, got %d" % (source, value))
+    return value
 
 
 def _vertex_set(text: Optional[str], flag: str) -> Optional[frozenset[int]]:
@@ -88,7 +92,7 @@ def _build(builder, args) -> automata.Multigraph:
         args.j,
         args.k,
         args.colours,
-        max_states=_cap(args.max_states, "CROSSNEST_MAX_STATES"),
+        max_states=_cap(args.max_states, "--max-states", "CROSSNEST_MAX_STATES"),
     )
 
 
@@ -117,7 +121,7 @@ def cmd_count(args) -> int:
         k=args.k,
         openers=_vertex_set(args.openers, "--openers"),
         closers=_vertex_set(args.closers, "--closers"),
-        max_objects=_cap(args.max_objects, "CROSSNEST_MAX_ORACLE"),
+        max_objects=_cap(args.max_objects, "--max-objects", "CROSSNEST_MAX_ORACLE"),
     )
     base = {
         "family": spec.family,
@@ -174,9 +178,8 @@ def _factor_text(constant: int, slopes) -> str:
 
 
 def _gf(args, q: automata.Multigraph) -> ratfunc.RationalFunction:
-    return ratfunc.gf_from_graph(
-        q, max_states=_cap(args.max_gf_states, "CROSSNEST_MAX_GF_STATES")
-    )
+    cap = _cap(args.max_gf_states, "--max-gf-states", "CROSSNEST_MAX_GF_STATES")
+    return ratfunc.gf_from_graph(q, max_states=cap)
 
 
 def cmd_gf(args) -> int:
@@ -424,7 +427,7 @@ def _selftest_items(perturb: int, max_objects: Optional[int]):
 
 
 def cmd_selftest(args) -> int:
-    max_objects = _cap(args.max_objects, "CROSSNEST_MAX_ORACLE")
+    max_objects = _cap(args.max_objects, "--max-objects", "CROSSNEST_MAX_ORACLE")
     results = []
     for name, fn in _selftest_items(args.perturb_adjacency, max_objects):
         start = time.perf_counter()
@@ -506,11 +509,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-objects", type=int, help="enumeration cap (default 10000000)"
     )
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--json", action="store_true")
+    out.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_count)
 
     def graph_args(p, quotient=False):
+        """Add the graph flags; return the group that holds ``--json``."""
         family_arg(p)
         p.add_argument("--colours", type=int, default=1)
         p.add_argument("--j", type=int, default=2)
@@ -527,14 +532,16 @@ def build_parser() -> argparse.ArgumentParser:
                 type=int,
                 help="determinant size cap, in orbits (default 200)",
             )
-        p.add_argument("--json", action="store_true")
+        out = p.add_mutually_exclusive_group()
+        out.add_argument("--json", action="store_true")
+        return out
 
     p = sub.add_parser("gf", help="exact generating function")
     graph_args(p, quotient=True)
     p.set_defaults(func=cmd_gf)
 
     p = sub.add_parser("series", help="counting series by size")
-    graph_args(p, quotient=True)
+    out = graph_args(p, quotient=True)
     p.add_argument(
         "--terms",
         type=int,
@@ -544,10 +551,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         choices=("recurrence", "power"),
-        default="recurrence",
-        help="coefficients from the rational recurrence or from matrix powers",
+        default="power",
+        help="coefficients from matrix powers (default) or from the rational "
+        "recurrence, which takes a determinant",
     )
-    p.add_argument("--csv", action="store_true")
+    out.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("graph", help="emit a transfer multigraph")

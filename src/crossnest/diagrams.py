@@ -32,8 +32,8 @@ coloured set partition uses the plain statistics on its upper diagram.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from enum import Enum
-from typing import Iterator
 
 
 class VertexKind(Enum):
@@ -131,14 +131,6 @@ class ColouredPermutation:
         word = " ".join(str(v) for v in self.word)
         cols = " ".join(str(c) for c in self.colours)
         return "%s / %s" % (word, cols)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": "permutation",
-            "n": len(self),
-            "word": list(self.word),
-            "colours": list(self.colours),
-        }
 
 
 # the separator between blocks in set partition text: "},{" with optional spaces
@@ -251,14 +243,6 @@ class ColouredSetPartition:
             return "%s / %s" % (blocks, " ".join(str(c) for c in self.arc_colours))
         return blocks
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": "setpartition",
-            "n": self.n,
-            "blocks": [list(b) for b in self.blocks],
-            "arc_colours": list(self.arc_colours),
-        }
-
 
 def parse_diagram(text: str):
     """Parse either text format, deciding by the presence of block braces."""
@@ -339,28 +323,6 @@ def opener_closer_sets(obj) -> tuple[frozenset[int], frozenset[int]]:
     return openers(obj), closers(obj)
 
 
-def enhanced_arcs(sp: ColouredSetPartition) -> list[tuple[int, int]]:
-    """The enhanced view of a set partition: singleton blocks become loops.
-
-    Only defined for single-coloured partitions when singletons are present
-    (a loop born from a block has no arc to take a colour from).
-
-    >>> enhanced_arcs(ColouredSetPartition.from_text("{1},{2,3}"))
-    [(1, 1), (2, 3)]
-    """
-    has_singleton = any(len(b) == 1 for b in sp.blocks)
-    if has_singleton and sp.num_colours > 1:
-        raise ValueError(
-            "enhanced view of a multi-coloured partition with singletons is ambiguous"
-        )
-    arcs = sp.arcs()
-    for b in sp.blocks:
-        if len(b) == 1:
-            arcs.append((b[0], b[0]))
-    arcs.sort()
-    return arcs
-
-
 # ---------------------------------------------------------------------------
 # crossing / nesting statistics
 
@@ -376,26 +338,32 @@ def _pairs(arcs, allow_loops: bool) -> list[tuple[int, int]]:
     return pairs
 
 
-def _longest_increasing_pairs(pairs: list[tuple[int, int]]) -> int:
-    # Longest subset with strictly increasing lefts and rights.  Sorting by
-    # (left, -right) makes equal lefts unusable twice under a strict LIS on
-    # rights; a quadratic scan is fine at diagram sizes.
-    seq = [b for _, b in sorted(pairs, key=lambda p: (p[0], -p[1]))]
-    dp = [1] * len(seq)
-    for i in range(len(seq)):
-        for j in range(i):
-            if seq[j] < seq[i] and dp[j] + 1 > dp[i]:
-                dp[i] = dp[j] + 1
-    return max(dp, default=0)
+def _longest_rising(values) -> int:
+    """Length of the longest strictly increasing subsequence, by patience
+    sorting: `tails[i]` is the least last value of a rise of length i + 1.
+
+    >>> _longest_rising([3, 1, 4, 1, 5, 9, 2, 6])
+    4
+    """
+    tails: list[int] = []
+    for v in values:
+        i = bisect_left(tails, v)
+        if i == len(tails):
+            tails.append(v)
+        else:
+            tails[i] = v
+    return len(tails)
 
 
 def max_crossing(arcs, enhanced: bool = False) -> int:
     """Size of the largest crossing among the arcs (0 for no arcs).
 
-    Every arc family spanning a common point (enhanced) or gap (plain) with
-    strictly increasing endpoints is a crossing, so it suffices to sweep
-    candidate thresholds and take the longest strictly-increasing chain of
-    (left, right) pairs among spanning arcs.
+    Arcs with strictly increasing lefts and rights that all span one right
+    end s (enhanced: left <= s <= right; plain: left < s <= right) form a
+    crossing, and every crossing spans its first arc's right end.  So the
+    sweep takes, for each right end s, the longest rise in the rights of
+    the arcs spanning s, with the arcs in (left, -right) order so that two
+    arcs with one left end never both join a rise.
 
     >>> max_crossing([(1, 4), (2, 5), (3, 6)])
     3
@@ -411,23 +379,22 @@ def _max_crossing(pairs: list[tuple[int, int]], enhanced: bool) -> int:
     """`max_crossing` of pairs that are already valid for the reading."""
     if len(pairs) < 2:
         return len(pairs)
+    pairs = sorted(pairs, key=lambda p: (p[0], -p[1]))
+    shift = 0 if enhanced else 1
     best = 1
     for _, s in pairs:
-        if enhanced:
-            active = [p for p in pairs if p[0] <= s <= p[1]]
-        else:
-            g = s - 1
-            active = [p for p in pairs if p[0] <= g < p[1]]
+        active = [b for a, b in pairs if a + shift <= s <= b]
         if len(active) > best:
-            best = max(best, _longest_increasing_pairs(active))
+            best = max(best, _longest_rising(active))
     return best
 
 
 def max_nesting(arcs, enhanced: bool = False) -> int:
     """Size of the largest nesting among the arcs (0 for no arcs).
 
-    Nestings are strict containment chains, which transitivity makes safe
-    for a direct longest-chain scan.
+    A nesting is a chain with rising lefts and falling rights, so it is the
+    longest rise in the negated rights of the arcs in (left, right) order;
+    equal lefts then come with falling negated rights and never both join.
 
     >>> max_nesting([(1, 6), (2, 5), (3, 4)])
     3
@@ -439,57 +406,7 @@ def max_nesting(arcs, enhanced: bool = False) -> int:
 
 def _max_nesting(pairs: list[tuple[int, int]]) -> int:
     """`max_nesting` of pairs that are already valid for the reading."""
-    if len(pairs) < 2:
-        return len(pairs)
-    pairs = sorted(pairs, key=lambda p: (p[0], -p[1]))
-    dp = [1] * len(pairs)
-    for i, (a, b) in enumerate(pairs):
-        for j in range(i):
-            aj, bj = pairs[j]
-            if aj < a and b < bj and dp[j] + 1 > dp[i]:
-                dp[i] = dp[j] + 1
-    return max(dp)
-
-
-def max_crossing_exhaustive(arcs, enhanced: bool = False) -> int:
-    """Reference implementation checking every subset; for cross-checks."""
-    pairs = _pairs(arcs, allow_loops=enhanced)
-    return max(
-        (len(sub) for sub in _subsets(pairs) if _is_crossing(sub, enhanced)), default=0
-    )
-
-
-def max_nesting_exhaustive(arcs, enhanced: bool = False) -> int:
-    """Reference implementation checking every subset; for cross-checks."""
-    pairs = _pairs(arcs, allow_loops=enhanced)
-    return max((len(sub) for sub in _subsets(pairs) if _is_nesting(sub)), default=0)
-
-
-def _subsets(pairs) -> Iterator[list[tuple[int, int]]]:
-    for mask in range(1, 1 << len(pairs)):
-        yield [p for i, p in enumerate(pairs) if mask >> i & 1]
-
-
-def _is_crossing(sub, enhanced: bool) -> bool:
-    sub = sorted(sub)
-    lefts = [a for a, _ in sub]
-    rights = [b for _, b in sub]
-    if any(x >= y for x, y in zip(lefts, lefts[1:])):
-        return False
-    if any(x >= y for x, y in zip(rights, rights[1:])):
-        return False
-    if enhanced:
-        return lefts[-1] <= rights[0]
-    return lefts[-1] < rights[0]
-
-
-def _is_nesting(sub) -> bool:
-    sub = sorted(sub, key=lambda p: (p[0], -p[1]))
-    lefts = [a for a, _ in sub]
-    rights = [b for _, b in sub]
-    if any(x >= y for x, y in zip(lefts, lefts[1:])):
-        return False
-    return all(x > y for x, y in zip(rights, rights[1:]))
+    return _longest_rising(-b for _, b in sorted(pairs))
 
 
 def colour_slices(obj) -> list[tuple[list[tuple[int, int]], bool]]:
@@ -502,18 +419,13 @@ def colour_slices(obj) -> list[tuple[list[tuple[int, int]], bool]]:
     [([(1, 2)], True), ([(1, 2)], False), ([(3, 3)], True), ([], False)]
     """
     if isinstance(obj, ColouredPermutation):
-        upper: list[list[tuple[int, int]]] = [[] for _ in range(obj.num_colours)]
-        lower: list[list[tuple[int, int]]] = [[] for _ in range(obj.num_colours)]
-        for i, out in enumerate(obj.word, start=1):
-            c = obj.colours[i - 1] - 1
+        # entry 2c is colour c + 1's upper diagram, entry 2c + 1 its lower one
+        slices = [([], upper) for _ in range(obj.num_colours) for upper in (True, False)]
+        for i, (out, colour) in enumerate(zip(obj.word, obj.colours), start=1):
             if out >= i:
-                upper[c].append((i, out))
+                slices[2 * colour - 2][0].append((i, out))
             else:
-                lower[c].append((out, i))
-        slices: list[tuple[list[tuple[int, int]], bool]] = []
-        for c in range(obj.num_colours):
-            slices.append((upper[c], True))
-            slices.append((lower[c], False))
+                slices[2 * colour - 1][0].append((out, i))
         return slices
     if isinstance(obj, ColouredSetPartition):
         per: list[list[tuple[int, int]]] = [[] for _ in range(obj.num_colours)]
@@ -540,24 +452,6 @@ def cr_ne(obj) -> tuple[int, int]:
         c = max(c, _max_crossing(pairs, enhanced))
         n = max(n, _max_nesting(pairs))
     return (c, n)
-
-
-def is_ncn(obj, j: int, k: int) -> bool:
-    """True when the object has no j-crossing and no k-nesting.
-
-    >>> is_ncn(ColouredPermutation((2, 3, 1)), 2, 2)
-    False
-    >>> is_ncn(ColouredPermutation((3, 1, 2)), 2, 2)
-    True
-    """
-    if j < 2 or k < 2:
-        raise ValueError("bounds j, k must be at least 2")
-    for pairs, enhanced in colour_slices(obj):
-        if _max_crossing(pairs, enhanced) >= j:
-            return False
-        if _max_nesting(pairs) >= k:
-            return False
-    return True
 
 
 class JointHistogram:

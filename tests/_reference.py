@@ -13,6 +13,13 @@ sequence stored its fillings: it runs straight from the arcs and keeps
 the tableau after every half-step, which the derived
 `TableauSequence.fillings` must reproduce.
 
+`max_crossing_exhaustive` and `max_nesting_exhaustive` try every subset
+of the arcs against the definitions of a crossing and a nesting; the
+sweep and the longest rise behind `diagrams.max_crossing` and
+`diagrams.max_nesting` must give the same sizes.  `is_ncn` is the bound
+filter by definition: it looks for a j-crossing or a k-nesting among the
+j- and k-subsets of each colour slice, where the oracle bounds `cr_ne`.
+
 `det_cofactor` is the exponential cofactor expansion that the
 fraction-free `ratfunc.det` must match, and `gf_by_minor` is the
 two-determinant generating function det((I - xA) minor at 0) /
@@ -20,8 +27,10 @@ det(I - xA) that `ratfunc.gf_from_graph` replaced with one determinant
 and the walk series.  `split_linear_factors` trial-divides by every
 divisor of the leading coefficient, with no bound on the slopes.
 """
+from itertools import combinations
 from math import isqrt
 
+from crossnest.diagrams import _pairs, colour_slices
 from crossnest.errors import ConsistencyError
 from crossnest.ratfunc import ONE, IntPoly, RationalFunction, det_identity_minus_x
 from crossnest.tableaux import (
@@ -145,6 +154,62 @@ def involute_slice(pairs, enhanced, n):
     """The image arcs of one `colour_slices` entry, by the reference chain."""
     encode = encode_hesitating if enhanced else encode_vacillating
     return decode(transpose_sequence(encode(pairs, n)))
+
+
+def max_crossing_exhaustive(arcs, enhanced: bool = False) -> int:
+    """The largest crossing, found by checking every subset of the arcs."""
+    pairs = _pairs(arcs, allow_loops=enhanced)
+    return max(
+        (len(sub) for sub in _subsets(pairs) if _is_crossing(sub, enhanced)), default=0
+    )
+
+
+def max_nesting_exhaustive(arcs, enhanced: bool = False) -> int:
+    """The largest nesting, found by checking every subset of the arcs."""
+    pairs = _pairs(arcs, allow_loops=enhanced)
+    return max((len(sub) for sub in _subsets(pairs) if _is_nesting(sub)), default=0)
+
+
+def _subsets(pairs):
+    for mask in range(1, 1 << len(pairs)):
+        yield [p for i, p in enumerate(pairs) if mask >> i & 1]
+
+
+def _is_crossing(sub, enhanced: bool) -> bool:
+    sub = sorted(sub)
+    lefts = [a for a, _ in sub]
+    rights = [b for _, b in sub]
+    if any(x >= y for x, y in zip(lefts, lefts[1:])):
+        return False
+    if any(x >= y for x, y in zip(rights, rights[1:])):
+        return False
+    if enhanced:
+        return lefts[-1] <= rights[0]
+    return lefts[-1] < rights[0]
+
+
+def _is_nesting(sub) -> bool:
+    sub = sorted(sub, key=lambda p: (p[0], -p[1]))
+    lefts = [a for a, _ in sub]
+    rights = [b for _, b in sub]
+    if any(x >= y for x, y in zip(lefts, lefts[1:])):
+        return False
+    return all(x > y for x, y in zip(rights, rights[1:]))
+
+
+def is_ncn(obj, j: int, k: int) -> bool:
+    """True when no colour slice of `obj` holds a j-crossing or a k-nesting.
+
+    Every subset of a crossing or a nesting is one too, so it is enough to
+    try the subsets of exactly j and k arcs."""
+    if j < 2 or k < 2:
+        raise ValueError("bounds j, k must be at least 2")
+    for pairs, enhanced in colour_slices(obj):
+        if any(_is_crossing(sub, enhanced) for sub in combinations(pairs, j)):
+            return False
+        if any(_is_nesting(sub) for sub in combinations(pairs, k)):
+            return False
+    return True
 
 
 def det_cofactor(matrix) -> IntPoly:

@@ -7,7 +7,7 @@ from importlib import resources
 import pytest
 from jsonschema import Draft202012Validator
 
-from crossnest import cli
+from crossnest import cli, ratfunc
 
 
 def run_cli(capsys, *argv):
@@ -206,10 +206,43 @@ def test_series_power_method_agrees(capsys):
     args = [
         "series", "--family", "permutation", "--colours", "2", "--terms", "8"
     ]
-    code_a, out_a, _ = run_cli(capsys, *args)
+    code_a, out_a, _ = run_cli(capsys, *args, "--method", "recurrence")
     code_b, out_b, _ = run_cli(capsys, *args, "--method", "power")
     assert code_a == code_b == 0
     assert out_a == out_b
+
+
+@pytest.mark.parametrize("family", ["permutation", "setpartition"])
+def test_series_default_takes_no_determinant(capsys, monkeypatch, family):
+    args = ["series", "--family", family, "--colours", "3", "--terms", "12"]
+    code, want, _ = run_cli(capsys, *args, "--method", "recurrence")
+    assert code == 0
+
+    def refuse(mat):
+        raise AssertionError("the default series took a determinant")
+
+    monkeypatch.setattr(ratfunc, "det_identity_minus_x", refuse)
+    assert run_cli(capsys, *args) == (0, want, "")
+
+
+def test_series_default_ignores_the_determinant_cap(capsys):
+    # set partitions with two colours have 3 orbits
+    args = [
+        "series", "--family", "setpartition", "--colours", "2",
+        "--max-gf-states", "1",
+    ]
+    assert run_cli(capsys, *args)[0] == 0
+    assert run_cli(capsys, *args, "--method", "recurrence")[0] == 2
+
+
+@pytest.mark.parametrize("verb", ["count", "series"])
+def test_json_and_csv_exclude_each_other(capsys, verb):
+    args = [verb, "--family", "permutation", "--json", "--csv"]
+    if verb == "count":
+        args += ["--n", "3"]
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (1, "")
+    assert "not allowed with argument" in err
 
 
 # --- graph ------------------------------------------------------------------
@@ -438,6 +471,26 @@ def test_flag_overrides_env_cap(capsys, monkeypatch):
         "--max-gf-states", "10",
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv, env, name",
+    [
+        (["count", "--family", "permutation", "--n", "3", "--max-objects", "-5"],
+         None, "--max-objects"),
+        (["gf", "--family", "setpartition", "--max-gf-states", "-1"],
+         None, "--max-gf-states"),
+        (["graph", "--family", "setpartition", "--max-states", "-2"],
+         None, "--max-states"),
+        (["series", "--family", "permutation"], "-3", "CROSSNEST_MAX_STATES"),
+    ],
+)
+def test_negative_caps_are_input_errors(capsys, monkeypatch, argv, env, name):
+    if env is not None:
+        monkeypatch.setenv(name, env)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: %s must be nonnegative" % name)
 
 
 def test_env_cap_must_be_integer(capsys, monkeypatch):

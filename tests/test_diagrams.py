@@ -1,24 +1,24 @@
 """Diagram parsing, vertex classification and the two statistics."""
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import is_ncn, max_crossing_exhaustive, max_nesting_exhaustive
 from crossnest.diagrams import (
     ColouredPermutation,
     ColouredSetPartition,
     JointHistogram,
     VertexKind,
     arc_end_vertices,
+    _longest_rising,
     arc_start_vertices,
     closers,
     colour_slices,
     cr_ne,
-    enhanced_arcs,
-    is_ncn,
     max_crossing,
-    max_crossing_exhaustive,
     max_nesting,
-    max_nesting_exhaustive,
     opener_closer_sets,
     openers,
     parse_diagram,
@@ -145,17 +145,6 @@ def test_arc_validation():
         assert statistic([(2, 2)], enhanced=True) == 1
 
 
-def test_enhanced_arcs_add_loops_at_singletons():
-    sp = ColouredSetPartition([[1, 3], [2]])
-    assert enhanced_arcs(sp) == [(1, 3), (2, 2)]
-
-
-def test_enhanced_arcs_refuse_coloured_singletons():
-    sp = ColouredSetPartition([[1, 3], [2]], [2], num_colours=2)
-    with pytest.raises(ValueError):
-        enhanced_arcs(sp)
-
-
 # --- crossing / nesting numbers --------------------------------------------
 
 
@@ -210,9 +199,22 @@ pair_lists = st.lists(
     st.tuples(st.integers(1, 12), st.integers(1, 12)).map(
         lambda ab: (min(ab), max(ab))
     ),
-    max_size=6,
+    max_size=10,
     unique_by=lambda p: p,
 )
+
+
+@given(st.lists(st.integers(0, 4), max_size=10))
+@settings(max_examples=300)
+def test_longest_rising_matches_brute_force(values):
+    """Few distinct values force ties, which a strict rise takes only once."""
+    want = max(
+        len(sub)
+        for size in range(len(values) + 1)
+        for sub in combinations(values, size)
+        if all(x < y for x, y in zip(sub, sub[1:]))
+    )
+    assert _longest_rising(values) == want
 
 
 @given(pair_lists, st.booleans())
@@ -272,9 +274,9 @@ def coloured_objects(draw, max_size=12):
 @given(coloured_objects())
 @settings(max_examples=200)
 def test_statistics_match_the_checked_path(obj):
-    """`cr_ne` and `is_ncn` skip the arc checks on the slices they build;
-    they must agree with the public, checked statistics slice by slice, and
-    `cr_ne` must score an object and its slice list alike."""
+    """`cr_ne` skips the arc checks on the slices it builds; it must agree
+    with the public, checked statistics slice by slice, score an object and
+    its slice list alike, and bound objects as the reference filter does."""
     slices = colour_slices(obj)
     want = (
         max((max_crossing(p, e) for p, e in slices), default=0),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import is_ncn
 from crossnest import oracle
 from crossnest.diagrams import (
     ColouredPermutation,
@@ -13,7 +14,6 @@ from crossnest.diagrams import (
     JointHistogram,
     colour_slices,
     cr_ne,
-    is_ncn,
     opener_closer_sets,
 )
 from crossnest.errors import CapExceeded
