@@ -365,11 +365,12 @@ def charpoly(mat) -> IntPoly:
 def det_identity_minus_x(mat) -> IntPoly:
     """det(I - x*mat) for a square integer matrix.
 
-    The reversed characteristic polynomial; small matrices go through the
-    polynomial elimination directly, which doubles as a cross-check path.
+    The reversed characteristic polynomial.  Matrices up to 4 x 4 go
+    through the polynomial elimination directly, which is no slower there;
+    from 5 x 5 on the modular `charpoly` is faster.
     """
     n = len(mat)
-    if n <= 16:
+    if n <= 4:
         entries = [
             [IntPoly([1 if r == c else 0, -mat[r][c]]) for c in range(n)]
             for r in range(n)

@@ -1,13 +1,17 @@
 """End-to-end runs of every CLI verb, exit codes and JSON schemas."""
+import argparse
+import dataclasses
 import json
+import re
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
 
-from crossnest import cli, ratfunc
+from crossnest import automata, cli, ratfunc
 
 
 def run_cli(capsys, *argv):
@@ -202,37 +206,35 @@ def test_series_csv(capsys):
     assert out == "size,count\n0,1\n1,1\n2,2\n3,4\n"
 
 
-def test_series_power_method_agrees(capsys):
-    args = [
-        "series", "--family", "permutation", "--colours", "2", "--terms", "8"
-    ]
-    code_a, out_a, _ = run_cli(capsys, *args, "--method", "recurrence")
-    code_b, out_b, _ = run_cli(capsys, *args, "--method", "power")
-    assert code_a == code_b == 0
-    assert out_a == out_b
-
-
 @pytest.mark.parametrize("family", ["permutation", "setpartition"])
 def test_series_default_takes_no_determinant(capsys, monkeypatch, family):
-    args = ["series", "--family", family, "--colours", "3", "--terms", "12"]
-    code, want, _ = run_cli(capsys, *args, "--method", "recurrence")
-    assert code == 0
+    colours, terms = 3, 12
+    rf = ratfunc.gf_from_graph(automata.build_quotient(family, 2, 2, colours))
+    shift = 1 if family == "setpartition" else 0
+    want = [1] * shift + list(ratfunc.series(rf, terms + 1 - shift).coeffs)
 
     def refuse(mat):
-        raise AssertionError("the default series took a determinant")
+        raise AssertionError("series took a determinant")
 
     monkeypatch.setattr(ratfunc, "det_identity_minus_x", refuse)
-    assert run_cli(capsys, *args) == (0, want, "")
+    code, out, err = run_cli(
+        capsys, "series", "--family", family,
+        "--colours", str(colours), "--terms", str(terms),
+    )
+    assert (code, out, err) == (0, ",".join(map(str, want)) + "\n", "")
 
 
-def test_series_default_ignores_the_determinant_cap(capsys):
-    # set partitions with two colours have 3 orbits
-    args = [
-        "series", "--family", "setpartition", "--colours", "2",
-        "--max-gf-states", "1",
-    ]
-    assert run_cli(capsys, *args)[0] == 0
-    assert run_cli(capsys, *args, "--method", "recurrence")[0] == 2
+@pytest.mark.parametrize(
+    "flags",
+    [["--method", "recurrence"], ["--max-gf-states", "-1"]],
+    ids=["method-recurrence", "max-gf-states"],
+)
+def test_series_removed_choices_are_usage_errors(capsys, flags):
+    code, out, err = run_cli(
+        capsys, "series", "--family", "permutation", "--terms", "3", *flags
+    )
+    assert (code, out) == (1, "")
+    assert flags[0] in err
 
 
 @pytest.mark.parametrize("verb", ["count", "series"])
@@ -397,8 +399,17 @@ def test_selftest_fail_on_skip(capsys):
     assert code == 2
 
 
-def test_selftest_detects_perturbed_adjacency(capsys):
-    code, out, _ = run_cli(capsys, "selftest", "--perturb-adjacency", "1")
+def test_selftest_detects_perturbed_adjacency(capsys, monkeypatch):
+    build = automata.build_setpartition_22
+
+    def one_more_start_loop(r):
+        g = build(r)
+        start = dict(g.rows[0])
+        start[0] = start.get(0, 0) + 1
+        return dataclasses.replace(g, rows=(start,) + g.rows[1:])
+
+    monkeypatch.setattr(automata, "build_setpartition_22", one_more_start_loop)
+    code, out, _ = run_cli(capsys, "selftest")
     assert code == 3
     assert "FAIL gf-setpartition-published" in out
 
@@ -532,6 +543,21 @@ def test_help_lists_verbs(capsys):
     out = capsys.readouterr().out
     for verb in ("count", "gf", "series", "graph", "bijection", "selftest"):
         assert verb in out
+
+
+def test_readme_documents_only_existing_flags():
+    parser = cli.build_parser()
+    (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        flag
+        for p in (parser, *verbs.choices.values())
+        for action in p._actions
+        for flag in action.option_strings
+    }
+    options.add("--no-build-isolation")  # pip's, in the install steps
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = set(re.findall(r"--[a-z][a-z0-9-]*", readme))
+    assert sorted(documented - options) == []
 
 
 # --- the installed entry point ----------------------------------------------

@@ -267,7 +267,7 @@ def test_gf_state_cap():
 
 
 def test_non_monic_charpoly_is_a_consistency_error(monkeypatch):
-    n = 17  # past the direct-elimination size, so the charpoly path runs
+    n = 5  # past the direct-elimination size (4), so the charpoly path runs
     monkeypatch.setattr(ratfunc, "charpoly", lambda mat: IntPoly([1] * n + [2]))
     with pytest.raises(ConsistencyError, match="not monic"):
         det_identity_minus_x([[0] * n for _ in range(n)])
