@@ -2,9 +2,10 @@
 
 Everything here is exact: polynomials are integer coefficient tuples,
 determinants use fraction-free elimination (divisions are checked, never
-rounded), and large transfer matrices go through a modular characteristic
-polynomial with a rigorous coefficient bound, so the Chinese-remainder
-reconstruction is provably correct rather than heuristic.
+rounded), and a large characteristic polynomial is one Hessenberg
+reduction modulo a product of primes past a rigorous coefficient bound,
+which is exact because every pivot it inverts is checked to be a unit
+(if one is not, it restarts on fresh primes).
 
 The closed walks at state 0 of an n-state graph with adjacency A have the
 generating function U = [(I - xA)^-1]_00 = N / D, with D = det(I - xA) a
@@ -207,16 +208,21 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
 # determinants
 
 
+def _order(mat) -> int:
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("matrix must be square")
+    return n
+
+
 def det(matrix) -> IntPoly:
     """Fraction-free determinant of a square matrix of integer polynomials.
 
     >>> det([[IntPoly([1, 1]), IntPoly([1])], [IntPoly([1]), IntPoly([1])]]).coeffs
     (0, 1)
     """
+    n = _order(matrix)
     m = [[IntPoly._coerce(entry) for entry in row] for row in matrix]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
     if n == 0:
         return ONE
     sign = 1
@@ -241,7 +247,7 @@ def det(matrix) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomials, modulo primes, for the big transfer matrices
+# characteristic polynomials modulo a product of primes, for big matrices
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -270,96 +276,90 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _primes(bound_product: int):
-    """Yield large primes until their product exceeds bound_product."""
-    prod = 1
+def _primes():
+    """Yield the primes above 2^61 in increasing order, without end."""
     candidate = (1 << 61) + 1
-    while prod <= bound_product:
-        while not _is_prime(candidate):
-            candidate += 2
-        yield candidate
-        prod *= candidate
+    while True:
+        if _is_prime(candidate):
+            yield candidate
         candidate += 2
 
 
-def _charpoly_mod(mat, p: int) -> list[int]:
-    """det(yI - mat) mod p, via Hessenberg reduction (similarity-safe)."""
+class _PivotNotUnit(ArithmeticError):
+    """A Hessenberg pivot shares a factor with the modulus."""
+
+
+def _charpoly_mod(mat, m: int) -> list[int]:
+    """det(yI - mat) mod m, via Hessenberg reduction: similarity
+    transforms by ring operations and one pivot inverse per column, so
+    exact modulo any m whose every pivot is a unit (else _PivotNotUnit)."""
     n = len(mat)
-    h = [[x % p for x in row] for row in mat]
+    h = [[x % m for x in row] for row in mat]
     for col in range(n - 2):
-        piv_row = None
-        for r in range(col + 1, n):
-            if h[r][col]:
-                piv_row = r
-                break
+        piv_row = next((r for r in range(col + 1, n) if h[r][col]), None)
         if piv_row is None:
             continue
         if piv_row != col + 1:
             h[col + 1], h[piv_row] = h[piv_row], h[col + 1]
             for row in h:
                 row[col + 1], row[piv_row] = row[piv_row], row[col + 1]
-        inv = pow(h[col + 1][col], -1, p)
+        piv = h[col + 1][col]
+        if gcd(piv, m) != 1:
+            raise _PivotNotUnit
+        inv = pow(piv, -1, m)
         for r in range(col + 2, n):
-            f = h[r][col] * inv % p
+            f = h[r][col] * inv % m
             if not f:
                 continue
             hr, hc = h[r], h[col + 1]
             for c in range(col, n):
-                hr[c] = (hr[c] - f * hc[c]) % p
+                hr[c] = (hr[c] - f * hc[c]) % m
             for rr in range(n):
                 row = h[rr]
-                row[col + 1] = (row[col + 1] + f * row[r]) % p
+                row[col + 1] = (row[col + 1] + f * row[r]) % m
     polys = [[1]]
-    for m in range(1, n + 1):
-        prev = polys[m - 1]
-        cur = [0] * (m + 1)
-        a = h[m - 1][m - 1]
+    for k in range(1, n + 1):
+        prev = polys[k - 1]
+        cur = [0] * (k + 1)
+        a = h[k - 1][k - 1]
         for idx, cf in enumerate(prev):
-            cur[idx + 1] = (cur[idx + 1] + cf) % p
-            cur[idx] = (cur[idx] - a * cf) % p
+            cur[idx + 1] = (cur[idx + 1] + cf) % m
+            cur[idx] = (cur[idx] - a * cf) % m
         mult = 1
-        for i in range(1, m):
-            mult = mult * h[m - i][m - i - 1] % p
+        for i in range(1, k):
+            mult = mult * h[k - i][k - i - 1] % m
             if not mult:
                 break
-            coeff = h[m - 1 - i][m - 1] * mult % p
+            coeff = h[k - 1 - i][k - 1] * mult % m
             if coeff:
-                for idx, cf in enumerate(polys[m - 1 - i]):
-                    cur[idx] = (cur[idx] - coeff * cf) % p
+                for idx, cf in enumerate(polys[k - 1 - i]):
+                    cur[idx] = (cur[idx] - coeff * cf) % m
         polys.append(cur)
     return polys[n]
 
 
 def charpoly(mat) -> IntPoly:
-    """det(yI - mat) for an integer matrix, exactly.
+    """det(yI - mat) for a square integer matrix, exactly.
 
-    Residues modulo enough 61-bit primes are combined by Chinese
-    remaindering; "enough" comes from the Hadamard-style bound
-    |coefficient| <= (1 + max column norm)^n.
+    One Hessenberg reduction runs modulo a product of 61-bit primes past
+    twice the Hadamard-style bound |coefficient| <= (1 + max column
+    norm)^n, and each residue is lifted to the symmetric range.  A pivot
+    that is not a unit there restarts it with fresh primes; this ends, as
+    all but finitely many primes reduce exactly as the rationals do.
     """
-    n = len(mat)
-    if n == 0:
-        return ONE
-    norm_sq = max(
-        sum(mat[r][c] * mat[r][c] for r in range(n)) for c in range(n)
-    )
+    n = _order(mat)
+    norm_sq = max((sum(row[c] ** 2 for row in mat) for c in range(n)), default=0)
     bound = 2 * (1 + isqrt(norm_sq) + 1) ** n
-    residues: list[list[int]] = []
-    primes: list[int] = []
-    for p in _primes(bound):
-        primes.append(p)
-        residues.append(_charpoly_mod(mat, p))
-    coeffs = []
-    for idx in range(n + 1):
-        value, modulus = 0, 1
-        for p, res in zip(primes, residues):
-            t = (res[idx] - value) * pow(modulus, -1, p) % p
-            value += modulus * t
-            modulus *= p
-        if value > modulus // 2:
-            value -= modulus
-        coeffs.append(value)
-    return IntPoly(coeffs)
+    primes = _primes()
+    while True:
+        modulus = 1
+        while modulus <= bound:
+            modulus *= next(primes)
+        try:
+            residues = _charpoly_mod(mat, modulus)
+        except _PivotNotUnit:
+            continue
+        return IntPoly([c - modulus if 2 * c > modulus else c for c in residues])
 
 
 def det_identity_minus_x(mat) -> IntPoly:
@@ -369,7 +369,7 @@ def det_identity_minus_x(mat) -> IntPoly:
     through the polynomial elimination directly, which is no slower there;
     from 5 x 5 on the modular `charpoly` is faster.
     """
-    n = len(mat)
+    n = _order(mat)
     if n <= 4:
         entries = [
             [IntPoly([1 if r == c else 0, -mat[r][c]]) for c in range(n)]

@@ -1,4 +1,6 @@
 """Exact polynomial arithmetic, determinants and series extraction."""
+from math import gcd, isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,13 +136,70 @@ def test_charpoly_path_matches_bareiss(n, data):
     mat = [
         [data.draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(n)
     ]
-    direct = det(
+    assert det_identity_minus_x(mat) == _bareiss_identity_minus_x(mat)
+
+
+def _bareiss_identity_minus_x(mat):
+    n = len(mat)
+    return det(
         [
             [IntPoly([1 if r == c else 0, -mat[r][c]]) for c in range(n)]
             for r in range(n)
         ]
     )
-    assert det_identity_minus_x(mat) == direct
+
+
+@given(st.integers(5, 12), st.data())
+@settings(max_examples=40, deadline=None)
+def test_charpoly_with_many_primes_matches_bareiss(n, data):
+    """Entries up to 2^70 make the modulus a product of 6 to 15 primes."""
+    big = st.integers(-(2**70), 2**70)
+    mat = [[data.draw(big) for _ in range(n)] for _ in range(n)]
+    assert det_identity_minus_x(mat) == _bareiss_identity_minus_x(mat)
+
+
+def _spy_on_charpoly_mod(monkeypatch):
+    """Record the modulus of every `_charpoly_mod` call, and whether the
+    call returned."""
+    calls = []
+    reduce = ratfunc._charpoly_mod
+
+    def spy(mat, m):
+        calls.append([m, False])
+        out = reduce(mat, m)
+        calls[-1][1] = True
+        return out
+
+    monkeypatch.setattr(ratfunc, "_charpoly_mod", spy)
+    return calls
+
+
+def test_charpoly_takes_one_pass(monkeypatch):
+    calls = _spy_on_charpoly_mod(monkeypatch)
+    mat = build_permutation_22(4).matrix
+    n = len(mat)
+    charpoly(mat)
+    norm_sq = max(sum(row[c] ** 2 for row in mat) for c in range(n))
+    assert len(calls) == 1 and calls[0][1]
+    assert calls[0][0] > 2 * (2 + isqrt(norm_sq)) ** n
+
+
+def test_a_pivot_that_is_not_a_unit_retries_on_fresh_primes(monkeypatch):
+    """The first pivot is the first prime itself: nonzero modulo the
+    product of the primes, but not a unit there."""
+    calls = _spy_on_charpoly_mod(monkeypatch)
+    mat = [
+        [1, 2, 0, 1, 3],
+        [next(ratfunc._primes()), 1, 1, 0, 2],
+        [0, 3, 1, 1, 0],
+        [1, 0, 2, 1, 1],
+        [2, 1, 0, 3, 1],
+    ]
+    got = det_identity_minus_x(mat)
+    assert [done for _, done in calls] == [False, True]
+    (first, _), (second, _) = calls
+    assert first % mat[1][0] == 0 and gcd(first, second) == 1
+    assert got == _bareiss_identity_minus_x(mat)
 
 
 def test_charpoly_known_values():
@@ -148,6 +207,23 @@ def test_charpoly_known_values():
     # companion matrix of y^2 - y - 1
     assert charpoly([[0, 1], [1, 1]]) == IntPoly([-1, -1, 1])
     assert charpoly([]) == ONE
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        [[1, 2]],
+        [[0] * 6 for _ in range(5)],  # five rows of six
+        [[0] * 5 for _ in range(4)] + [[0] * 4],  # ragged, 5 rows
+        [[0, 0], [0]],  # ragged, 2 rows
+        [[0] * 3 for _ in range(4)],  # four rows of three
+    ],
+)
+def test_non_square_matrix_is_refused(mat):
+    with pytest.raises(ValueError, match="matrix must be square"):
+        charpoly(mat)
+    with pytest.raises(ValueError, match="matrix must be square"):
+        det_identity_minus_x(mat)
 
 
 # --- rational functions and series ------------------------------------------
