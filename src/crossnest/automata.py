@@ -43,15 +43,23 @@ Permutation vertex moves on (U_1..U_r; L_1..L_r):
   (lower arcs close before they open at a vertex);
 * lower transitory, distinct colours: remove from L_old, add to L_new.
 
-Permuting the colours maps each graph onto itself and fixes the start
-state, so the colour orbits of states form an equitable partition: every
-state of an orbit has the same number of edges into any given orbit.
-Closed walks at the start state therefore equal closed walks at the start
-orbit of the quotient, whose row for orbit a counts the edges from one
-member of a into each orbit.  `build_quotient` builds those rows directly
-by a breadth-first search over canonical states (the per-colour shapes, or
-(upper, lower) shape pairs, in sorted order), so 2^r set partition states
-fold into r + 1 orbits.  The `gf` and `series` verbs count on the
+Relabelling the colours (a permutation's upper and lower colours apart)
+and, at j = k, conjugating any one shape fix the start state and map every
+state's move multiset onto its image's:
+
+* every move adds or removes one box of one shape;
+* at j = k the box is square, so conjugating one shape maps its corners
+  onto the conjugate's corners;
+* opener and closer moves pair any upper colour with any lower colour.
+
+So the orbits of this group form an equitable partition (every state of an
+orbit has the same number of edges into any given orbit), and closed walks
+at the start state equal closed walks at the start orbit of the quotient,
+whose row for orbit a counts the edges from one member of a into each
+orbit.  `build_quotient` builds those rows directly by a breadth-first
+search over keyed states (each shape the smaller of itself and its
+conjugate at j = k, then sorted within its half), so 2^r set partition
+states fold into r + 1 orbits.  The `gf` and `series` verbs count on the
 quotient; the full graph is built only to be printed.  Graphs are stored
 as the sparse rows the moves produce, so walks, symmetry checks and DOT
 export cost one pass over the edges; the dense `matrix` view is built on
@@ -65,6 +73,7 @@ from itertools import product
 from typing import Optional
 
 from .errors import CapExceeded, ConsistencyError
+from .tableaux import conjugate
 
 DEFAULT_MAX_STATES = 20_000
 
@@ -74,9 +83,9 @@ class Multigraph:
     """A multigraph with a distinguished start state (index 0).
 
     `rows[a]` is a `{b: count}` dict of the edges from state a to state b,
-    with no zero counts.  The full transfer graphs are symmetric; colour
-    quotients (builder "quotient") are not, since an orbit's row counts
-    edges from one of its members.
+    with no zero counts.  The full transfer graphs are symmetric; their
+    symmetry quotients (builder "quotient") are not, since an orbit's row
+    counts edges from one of its members.
     """
 
     family: str  # "setpartition" | "permutation"
@@ -191,10 +200,13 @@ def _shrunk(shape) -> tuple:
 
 
 @lru_cache(maxsize=8)
-def _corners(j: int, k: int) -> tuple[dict, dict]:
-    """Corner tables for one box: each shape's grown and shrunk shapes."""
+def _corners(j: int, k: int) -> tuple[dict, dict, Optional[dict]]:
+    """Tables for one box: each shape's grown and shrunk shapes, and its
+    key, the smaller of itself and its conjugate; no key table at j != k
+    or j = k = 2, where every shape is its own key."""
     shapes = _bounded_shapes(j, k)
-    return {s: _grown(s, j, k) for s in shapes}, {s: _shrunk(s) for s in shapes}
+    keys = {s: min(s, conjugate(s)) for s in shapes} if j == k > 2 else None
+    return {s: _grown(s, j, k) for s in shapes}, {s: _shrunk(s) for s in shapes}, keys
 
 
 def _shape_name(shape) -> str:
@@ -287,10 +299,11 @@ def _build_full(family: str, j: int, k: int, r: int, max_states: Optional[int]) 
 
 
 def build_quotient(family: str, j: int, k: int, r: int, max_states: Optional[int] = None) -> Multigraph:
-    """The colour-orbit quotient of `build_general(family, j, k, r)`.
+    """The quotient of `build_general(family, j, k, r)` by its symmetry
+    group (see the module docstring).
 
-    A breadth-first search from the empty state over canonical states
-    (colour components sorted); `rows[a][b]` counts the moves from the
+    A breadth-first search from the empty state over keyed states (shapes
+    keyed, then sorted); `rows[a][b]` counts the moves from the
     representative of orbit a into orbit b.  Orbit 0 is the start state.
     The search stops as soon as the orbit count passes `max_states`.
 
@@ -300,24 +313,25 @@ def build_quotient(family: str, j: int, k: int, r: int, max_states: Optional[int
     _check_bounds(family, j, k, r)
     cap = DEFAULT_MAX_STATES if max_states is None else max_states
     start = _start_state(family, r)
-    if len(set(_components(family, start))) != 1:
+    # generators: swap two colours of one half; at j = k, conjugate one shape
+    if any(len(set(h)) > 1 or (j == k and conjugate(h[0]) != h[0]) for h in _halves(family, start)):
         raise ConsistencyError(
-            "start state %s is not fixed by every colour permutation"
-            % _state_name(family, start)
+            "start state %s is not fixed by the symmetry group" % _state_name(family, start)
         )
     moves = _MOVES[family]
+    key = _corners(j, k)[2]
     reps = [start]
     index = {start: 0}
     rows: list[dict[int, int]] = []
     for rep in reps:  # reps grows while it is scanned
         row: dict[int, int] = {}
         for t, _ in moves(rep, j, k):
-            t = _canonical(family, t)
+            t = _canonical(family, t, key)
             dest = index.get(t)
             if dest is None:
                 if len(reps) >= cap:
                     raise CapExceeded(
-                        "colour quotient has more than %d orbits; raise the "
+                        "symmetry quotient has more than %d orbits; raise the "
                         "cap to proceed" % cap
                     )
                 dest = index[t] = len(reps)
@@ -346,7 +360,7 @@ def _put(shapes, c, shape):
 def _setpartition_moves(st, j, k):
     """(target, label) for each gap move from shape tuple `st`, one per
     edge.  The label is the classic one at j = k = 2 and None otherwise."""
-    grow, shrink = _corners(j, k)
+    grow, shrink, _ = _corners(j, k)
     labelled = j == k == 2
     yield st, "x" if labelled else None  # gap with no arc
     for c, lam in enumerate(st):
@@ -370,7 +384,7 @@ def _permutation_moves(state, j, k):
     """(target, label) for each vertex move from (upper, lower) shape
     tuples, one per edge; labels as for `_setpartition_moves`.  All upper
     composites come before any lower one, the classic self-loop order."""
-    grow, shrink = _corners(j, k)
+    grow, shrink, _ = _corners(j, k)
     labelled = j == k == 2
     u, low = state
     r = len(u)
@@ -428,27 +442,26 @@ def _start_state(family: str, r: int):
     return empty if family == "setpartition" else (empty, empty)
 
 
-def _components(family: str, st) -> tuple:
-    """The per-colour parts of a state, which colour permutations shuffle."""
-    return st if family == "setpartition" else tuple(zip(*st))
+def _canonical(family: str, st, key: Optional[dict]):
+    """The orbit representative: every shape keyed, then sorted."""
+    if family == "setpartition":
+        return tuple(sorted(st if key is None else map(key.__getitem__, st)))
+    return tuple(tuple(sorted(h if key is None else map(key.__getitem__, h))) for h in st)
 
 
-def _canonical(family: str, st):
-    """The orbit representative: per-colour parts in sorted order."""
-    parts = sorted(_components(family, st))
-    return tuple(parts) if family == "setpartition" else tuple(zip(*parts))
+def _halves(family: str, st) -> tuple:
+    """The shape tuples of a state, whose colours the group relabels apart:
+    one for set partitions, upper and lower for permutations."""
+    return (st,) if family == "setpartition" else st
 
 
 def _open_sets(family: str, st) -> tuple:
     """The open colours, 1-based, of each shape tuple of a j = k = 2 state."""
-    halves = (st,) if family == "setpartition" else st
-    return tuple(tuple(c for c, s in enumerate(half, 1) if s) for half in halves)
+    return tuple(tuple(c for c, s in enumerate(h, 1) if s) for h in _halves(family, st))
 
 
 def _state_name(family: str, st) -> str:
-    if family == "setpartition":
-        return "|".join(_shape_name(s) for s in st)
-    return ";".join("|".join(_shape_name(s) for s in half) for half in st)
+    return ";".join("|".join(map(_shape_name, h)) for h in _halves(family, st))
 
 
 def export_dot(g: Multigraph) -> str:

@@ -12,8 +12,9 @@ Verbs:
 Exit codes: 0 success, 1 usage or input error, 2 a resource cap refused
 the computation, 3 a consistency check failed.
 
-``gf`` and ``series`` work on the colour-orbit quotient of the transfer
-graph (`automata.build_quotient`); ``graph`` prints the full graph.
+``gf`` and ``series`` work on the quotient of the transfer graph by its
+symmetry group, colour relabellings and, at j = k, shape conjugations
+(`automata.build_quotient`); ``graph`` prints the full graph.
 
 Resource caps resolve flag > environment variable > default.  The
 variables are CROSSNEST_MAX_STATES (graph states, or orbits for ``gf``
@@ -84,7 +85,7 @@ def _emit_json(payload) -> None:
 
 def _build(builder, args) -> automata.Multigraph:
     """The graph `builder` makes for the family, bounds and colours in
-    `args`: `automata.build_general` for ``graph``, the colour-orbit
+    `args`: `automata.build_general` for ``graph``, the symmetry
     quotient `automata.build_quotient` for ``gf`` and ``series``."""
     return builder(
         args.family,
@@ -500,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-states",
             type=int,
             help="%s cap (default 20000)"
-            % ("colour-orbit" if quotient else "graph state"),
+            % ("symmetry-orbit" if quotient else "graph state"),
         )
         out = p.add_mutually_exclusive_group()
         out.add_argument("--json", action="store_true")

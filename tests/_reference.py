@@ -26,10 +26,21 @@ two-determinant generating function det((I - xA) minor at 0) /
 det(I - xA) that `ratfunc.gf_from_graph` replaced with one determinant
 and the walk series.  `split_linear_factors` trial-divides by every
 divisor of the leading coefficient, with no bound on the slopes.
+
+`colour_quotient` is the quotient `automata.build_quotient` built before
+its key took the whole symmetry group: colour permutations alone (S_r),
+one relabelling for a permutation's upper and lower colours together.  Its
+`search` with the identity key reaches the full graph's states.  `lump`
+finds the coarsest equitable partition with the start state alone by
+plain refinement: cells split by each state's edge counts into the
+current cells until none splits (lumpability as in Kemeny and Snell,
+*Finite Markov Chains*, 1960; refinement as in Paige and Tarjan, SIAM J.
+Comput. 16, 1987, without their bookkeeping).
 """
 from itertools import combinations
 from math import isqrt
 
+from crossnest.automata import Multigraph, _MOVES, _start_state
 from crossnest.diagrams import _pairs, colour_slices
 from crossnest.errors import ConsistencyError
 from crossnest.ratfunc import ONE, IntPoly, RationalFunction, det_identity_minus_x
@@ -260,3 +271,48 @@ def split_linear_factors(p):
         else:
             return None
     return (work.coeffs[0], tuple(sorted(slopes)))
+
+
+def search(family, j, k, r, key):
+    """A breadth-first search from the empty state over `key(state)`s: the
+    representatives, and for each a `{index: count}` row of its moves."""
+    start = _start_state(family, r)
+    reps, index, rows = [start], {start: 0}, []
+    for rep in reps:
+        row = {}
+        for t, _ in _MOVES[family](rep, j, k):
+            t = key(t)
+            if t not in index:
+                index[t] = len(reps)
+                reps.append(t)
+            row[index[t]] = row.get(index[t], 0) + 1
+        rows.append(row)
+    return reps, rows
+
+
+def colour_quotient(family, j, k, r):
+    """The quotient by colour permutations: per-colour parts sorted, an
+    (upper, lower) pair of shapes being one part for permutations."""
+    if family == "setpartition":
+        reps, rows = search(family, j, k, r, lambda st: tuple(sorted(st)))
+    else:
+        reps, rows = search(family, j, k, r, lambda st: tuple(zip(*sorted(zip(*st)))))
+    return Multigraph(family, j, k, r, tuple(map(repr, reps)), tuple(rows), "quotient")
+
+
+def lump(g):
+    """The cell of each state in the coarsest equitable partition of `g`
+    that keeps state 0 alone, cells numbered in order of first state."""
+    cells = [min(a, 1) for a in range(g.size)]
+    while True:
+        signatures = []
+        for a, row in enumerate(g.rows):
+            into = {}
+            for b, count in row.items():
+                into[cells[b]] = into.get(cells[b], 0) + count
+            signatures.append((cells[a], tuple(sorted(into.items()))))
+        number = {}
+        split = [number.setdefault(sig, len(number)) for sig in signatures]
+        if len(number) == len(set(cells)):
+            return split
+        cells = split

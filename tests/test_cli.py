@@ -451,13 +451,14 @@ def test_oracle_cap_is_exit_two(capsys):
 
 
 def test_gf_cap_is_exit_two(capsys):
-    # j = k = 3 with six colours: 46,656 states fold into 462 orbits
+    # j = k = 3 with six colours: 46,656 states fold into 210 keyed states,
+    # over the 200-state determinant cap
     code, _, err = run_cli(
         capsys, "gf", "--family", "setpartition", "--j", "3", "--k", "3",
         "--colours", "6",
     )
     assert code == 2
-    assert "462" in err
+    assert "210" in err
 
 
 def test_env_cap_applies(capsys, monkeypatch):

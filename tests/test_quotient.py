@@ -1,12 +1,17 @@
-"""The colour-orbit quotient against the full transfer graphs.
+"""The symmetry quotient against the full transfer graphs.
 
 Every check pairs the fast path (walks on the quotient) with an
-independent slow one: the full graph, or the brute-force oracle where the
-full graph is out of reach.
+independent slow one: the full graph, the quotient by colour permutations
+alone, a lumping refinement, or the brute-force oracle where the full
+graph is out of reach.
 """
+import re
+from math import comb
+from pathlib import Path
+
 import pytest
 
-from _reference import gf_by_minor
+from _reference import colour_quotient, gf_by_minor, lump, search
 from crossnest import automata, oracle
 from crossnest.automata import (
     build_general,
@@ -103,11 +108,15 @@ def test_orbit_cap_stops_the_search(monkeypatch):
 
 
 def test_start_orbit_must_be_a_singleton(monkeypatch):
-    monkeypatch.setattr(
-        automata, "_start_state", lambda family, r: ((1,),) + ((),) * (r - 1)
-    )
-    with pytest.raises(ConsistencyError, match="not fixed"):
-        build_quotient("setpartition", 2, 2, 2)
+    starts = {
+        ("setpartition", 2, 2): ((1,), ()),  # swapping the colours moves it
+        ("setpartition", 3, 3): ((2,), (2,)),  # conjugating one shape moves it
+        ("permutation", 3, 3): (((2,), (2,)), ((2,), (2,))),
+    }
+    for (family, j, k), start in starts.items():
+        monkeypatch.setattr(automata, "_start_state", lambda family, r: start)
+        with pytest.raises(ConsistencyError, match="not fixed"):
+            build_quotient(family, j, k, 2)
 
 
 def test_quotient_validates_bounds():
@@ -117,3 +126,92 @@ def test_quotient_validates_bounds():
         build_quotient("setpartition", 1, 2, 1)
     with pytest.raises(ValueError):
         build_quotient("permutation", 2, 2, 0)
+
+
+SYMMETRY_GRID = [
+    ("setpartition", 3, 3, 2),
+    ("setpartition", 4, 4, 1),
+    ("setpartition", 4, 3, 2),
+    ("permutation", 2, 2, 4),
+    ("permutation", 3, 2, 3),
+    ("permutation", 2, 3, 2),
+    ("permutation", 3, 3, 2),
+    ("permutation", 4, 4, 1),
+]
+
+
+@pytest.mark.parametrize("family,j,k,r", SYMMETRY_GRID)
+def test_keyed_walks_match_colour_quotient_and_full_graph(family, j, k, r):
+    keyed = build_quotient(family, j, k, r)
+    for other in (colour_quotient(family, j, k, r), build_general(family, j, k, r)):
+        # an n-state graph's walk counts satisfy a recurrence of order n, and
+        # two such sequences of orders a and b that agree on a + b terms agree
+        terms = 2 * max(keyed.size, other.size) + 1
+        assert series_by_power(keyed, terms) == series_by_power(other, terms)
+
+
+@pytest.mark.parametrize("family,j,k,r", SYMMETRY_GRID)
+def test_keyed_partition_is_equitable(family, j, k, r):
+    keyed = build_quotient(family, j, k, r)
+    table = automata._corners(j, k)[2]
+    index = {name: a for a, name in enumerate(keyed.states)}
+
+    def key(st):
+        return index[automata._state_name(family, automata._canonical(family, st, table))]
+
+    states, rows = search(family, j, k, r, lambda st: st)
+    assert len(states) == build_general(family, j, k, r).size
+    for st, row in zip(states, rows):
+        summed = {}
+        for b, count in row.items():
+            summed[key(states[b])] = summed.get(key(states[b]), 0) + count
+        assert summed == keyed.rows[key(st)]
+
+
+# At (3, 2) and (2, 3) lumping also merges states that swap the upper and
+# lower halves, which is no symmetry in general: it is not equitable at
+# (4, 3) with one colour.
+LUMPED_FURTHER = {
+    ("permutation", 3, 2, 2): 7,
+    ("permutation", 2, 3, 2): 7,
+    ("permutation", 3, 2, 3): 13,
+    ("permutation", 2, 3, 3): 13,
+}
+
+
+@pytest.mark.parametrize(
+    "family,j,k,r",
+    SYMMETRY_GRID
+    + sorted(LUMPED_FURTHER)
+    + [("permutation", 4, 3, 1), ("setpartition", 4, 4, 2), ("permutation", 3, 3, 3)],
+)
+def test_lumping_the_keyed_graph(family, j, k, r):
+    keyed = build_quotient(family, j, k, r)
+    assert len(set(lump(keyed))) == LUMPED_FURTHER.get((family, j, k, r), keyed.size)
+
+
+@pytest.mark.parametrize(
+    "family,j,k,r,states",
+    [("setpartition", 3, 3, r, comb(r + 4, 4)) for r in range(1, 7)]
+    + [("setpartition", 4, 4, r, comb(r + 13, r)) for r in range(1, 4)]
+    + [("permutation", 2, 2, r, r + 1) for r in (1, 2, 3, 7, 12)],
+)
+def test_keyed_state_counts(family, j, k, r, states):
+    # one keyed state per multiset of conjugation classes of shapes (5 in
+    # the 2 x 2 box, 14 in the 3 x 3 box); for permutations at j = k = 2,
+    # one per number of open arcs
+    assert build_quotient(family, j, k, r).size == states
+
+
+def test_readme_limits_table_matches_the_keyed_graphs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Practical limits\n", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in section.splitlines()
+        if re.match(r"\| (setpartition|permutation) \|", line)
+    ]
+    assert len(rows) >= 9
+    for family, j, k, r, _full, _orbits, keyed, _time in rows:
+        size = build_quotient(family, int(j), int(k), int(r)).size
+        assert size == int(keyed.replace(",", "")), (family, j, k, r)
