@@ -159,9 +159,13 @@ class ColouredSetPartition:
         for b in blocks:
             if not b:
                 raise ValueError("empty block")
-            if seen & set(b):
+            members = set(b)
+            if len(members) < len(b):
+                twice = next(x for x, y in zip(b, b[1:]) if x == y)
+                raise ValueError("vertex %d appears twice in a block" % twice)
+            if seen & members:
                 raise ValueError("blocks are not disjoint")
-            seen |= set(b)
+            seen |= members
         n = len(seen)
         if seen != set(range(1, n + 1)):
             raise ValueError("blocks must partition 1..n")

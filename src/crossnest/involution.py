@@ -12,6 +12,12 @@ deletion/insertion pattern (hence the set of openers and of closers) is
 untouched.  Applied twice the map is the identity, since conjugation is
 an involution and encode/decode invert each other.
 
+The walk is its moves, two per arc: the encoder visits only the
+half-steps where an arc opens or closes, conjugation sends each move's
+box (r, c) to (c, r), and the decoder undoes those moves alone.  The
+library built every move legal, so `validate_sequence` hands them back
+without classifying a step, and no shape is ever built.
+
 The image arcs of all colours become links from a source vertex to a
 target vertex: a permutation's upper arc (a, b) sends a to b and its lower
 arc sends b to a, while a set partition's arc links a to b.  The links

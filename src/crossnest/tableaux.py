@@ -19,21 +19,24 @@ ending empty; the flavour of the walk depends on the diagram kind:
 
 Insertion is ordinary row bumping.  Deletion removes the minimal label from
 the top-left corner and closes the hole by jeu de taquin.  Both are
-reversible from the shape difference alone, which is what `decode` uses:
-a walk is its shapes.  A `TableauSequence` stores only `kind`, `n` and
-`shapes`; its `fillings` are derived on demand by decoding the shapes and
-replaying the walk, so the encoders record shapes and nothing else.
+reversible from the box they add or remove alone, which is what `decode`
+uses: a walk is its moves, one (half-step, "add" or "remove", cell) for
+each half-step that changes the shape.  The encoders visit only those
+half-steps, two per arc, and a `TableauSequence` they build carries its
+moves; its `shapes` are replayed from the moves when something reads them,
+and its `fillings` by decoding the moves and walking the arcs again.
 
-`validate_sequence` checks a sequence in one pass from the empty shape and
-returns its steps, the box each step adds or removes; `decode` undoes those
-steps right to left, so no step is classified twice.  Sequences the
-encoders and `transpose_sequence` build are tuples throughout already and
-skip the normalising `TableauSequence.__post_init__`.
+A sequence built from shapes through the public constructor carries no
+moves: `validate_sequence` checks it in one pass from the empty shape and
+returns its steps, the box each step adds or removes, and `decode` undoes
+those right to left.  A carried sequence skips that check, because the
+library built its moves one legal box at a time: the encoders from arcs
+they checked, `transpose_sequence` by conjugating each move's cell, which
+keeps a valid walk valid.  So the involution classifies no step at all.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConsistencyError
@@ -49,11 +52,13 @@ class TableauKind(Enum):
     and the decoder alike: "close" deletes the vertex's own label if an arc
     ends there, "open" inserts the partner's label if an arc starts there,
     and "either" does whichever applies (a vertex of a matching never needs
-    both).  It is a plain attribute of each member, so reading it hashes
-    nothing.
+    both).  `opens_at` and `closes_at` number the half-step of a vertex
+    where an arc opens and where one closes, from 1.  They are plain
+    attributes of each member, so reading them hashes nothing.
 
-    >>> TableauKind("vacillating").half_steps
-    ('close', 'open')
+    >>> kind = TableauKind("vacillating")
+    >>> kind.half_steps, kind.closes_at, kind.opens_at
+    (('close', 'open'), 1, 2)
     """
 
     SEMI_OSCILLATING = ("semioscillating", ("either",))
@@ -64,6 +69,8 @@ class TableauKind(Enum):
         member = object.__new__(cls)
         member._value_ = value
         member.half_steps = half_steps
+        member.opens_at = 1 + next(k for k, s in enumerate(half_steps) if s != "close")
+        member.closes_at = 1 + next(k for k, s in enumerate(half_steps) if s != "open")
         return member
 
 
@@ -150,7 +157,14 @@ def _uninsert_rows(rows: list[list[int]], cell: tuple[int, int]) -> int:
 
 
 def _undelete_rows(rows: list[list[int]], cell: tuple[int, int], label: int) -> None:
-    """Undo a minimal-label deletion that vacated `cell`, re-adding `label`."""
+    """Undo a minimal-label deletion that vacated `cell`, re-adding `label`.
+
+    `label` must be smaller than every remaining entry, and comparing it
+    with the two entries beside the hole at (0, 0) is enough: every
+    primitive move keeps the tableau standard, and the reverse slide only
+    moves the hole, so rows and columns still increase and the smallest
+    remaining entry is at (0, 1) or (1, 0).
+    """
     r, c = cell
     if r == len(rows):
         rows.append([])
@@ -166,36 +180,77 @@ def _undelete_rows(rows: list[list[int]], cell: tuple[int, int], label: int) -> 
         else:
             rows[r][c] = above
             r -= 1
-    if any(x <= label for row in rows for x in row if x):
+    first = rows[0]
+    if (len(first) > 1 and first[1] <= label) or (len(rows) > 1 and rows[1][0] <= label):
         raise ConsistencyError("re-inserted label must be the minimum")
-    rows[0][0] = label
+    first[0] = label
 
 
 # ---------------------------------------------------------------------------
 # sequences
 
 
-@dataclass(frozen=True)
-class TableauSequence:
-    """The shapes visited while walking a diagram; they alone determine it.
+Move = tuple[int, str, tuple[int, int]]  # (half-step, "add" or "remove", cell)
+_SAME = ("same", None)
 
-    `fillings` is derived, not stored: the tableau after every step,
-    replayed from the arcs that `decode` reads off the shapes.
+
+class TableauSequence:
+    """A tableau walk: its flavour `kind`, its `n` vertices and the shapes
+    it visits, which alone determine the diagram.
+
+    The encoders build sequences that carry their moves, and
+    `transpose_sequence` keeps them carried; `shapes` replays the moves
+    when first read.  This constructor takes the shapes themselves, which
+    `validate_sequence` checks in full.  Equal
+    shapes make equal sequences, however each was built.  `fillings` is
+    derived, not stored: the tableau after every step, replayed from the
+    arcs that `decode` reads off the moves.
 
     >>> encode_semioscillating([(1, 3), (2, 4)], 4).fillings
     ((), ((3,),), ((3, 4),), ((4,),), ())
     """
 
-    kind: TableauKind
-    n: int
-    shapes: tuple[Shape, ...]
+    __slots__ = ("_kind", "_n", "_moves", "_shapes")
 
-    def __post_init__(self):
-        object.__setattr__(self, "shapes", tuple(tuple(s) for s in self.shapes))
+    def __init__(self, kind: TableauKind, n: int, shapes):
+        self._kind, self._n, self._moves = kind, n, None
+        self._shapes = tuple(tuple(s) for s in shapes)
+
+    @property
+    def kind(self) -> TableauKind:
+        return self._kind
+
+    @property
+    def n(self) -> int:
+        return self._n
+
+    @property
+    def shapes(self) -> tuple[Shape, ...]:
+        if self._shapes is None:
+            shape: list[int] = []
+            after = {}
+            for i, tag, (r, c) in self._moves:
+                shape[r : r + 1] = [c + 1] if tag == "add" else [c] if c else []
+                after[i] = tuple(shape)
+            self._shapes = _held(self, after)
+        return self._shapes
 
     @property
     def fillings(self) -> tuple[Rows, ...]:
-        return _walk(self.kind, decode(self), self.n, _filling)
+        rows: list[list[int]] = []
+        moves = _walk(self.kind, decode(self), self.n, rows)
+        return _held(self, {i: _filling(rows) for i, _, _ in moves})
+
+    def __eq__(self, other):
+        if not isinstance(other, TableauSequence):
+            return NotImplemented
+        return (self.kind, self.n, self.shapes) == (other.kind, other.n, other.shapes)
+
+    def __hash__(self):
+        return hash((self.kind, self.n, self.shapes))
+
+    def __repr__(self):
+        return "TableauSequence(kind=%r, n=%r, shapes=%r)" % (self.kind, self.n, self.shapes)
 
     def to_json_dict(self) -> dict:
         return {
@@ -206,12 +261,22 @@ class TableauSequence:
         }
 
 
-def _built(kind: TableauKind, n: int, shapes) -> TableauSequence:
-    """A sequence from shapes that are tuples all the way down already,
-    skipping the normalising `__post_init__`."""
+def _built(kind: TableauKind, n: int, moves: list[Move]) -> TableauSequence:
+    """A sequence the library built, carrying its moves."""
     seq = object.__new__(TableauSequence)
-    seq.__dict__.update(kind=kind, n=n, shapes=shapes)
+    seq._kind, seq._n, seq._moves, seq._shapes = kind, n, moves, None
     return seq
+
+
+def _held(seq: TableauSequence, after: dict) -> tuple:
+    """The value at every half-step of `seq`: `after[i]` where a move came
+    at half-step i, else the value before it, starting empty."""
+    value = ()
+    trail = [value]
+    for i in range(1, len(seq.kind.half_steps) * seq.n + 1):
+        value = after.get(i, value)
+        trail.append(value)
+    return tuple(trail)
 
 
 def _step(prev: Shape, cur: Shape):
@@ -253,14 +318,23 @@ def validate_sequence(seq: TableauSequence) -> list:
     return its steps, ('same', None), ('add', cell) or ('remove', cell),
     one per consecutive pair of shapes.
 
-    One pass from the empty shape classifies every step.  A legal one-box
-    step from a partition keeps a partition if its changed row does, so
-    that row is all the partition check reads.
+    A sequence that carries its moves gets them back at their half-steps,
+    unchecked: the library built each one legal.  Shapes given to the
+    constructor are checked in one pass from the empty shape, which
+    classifies every step.  A legal one-box step from a partition keeps a
+    partition if its changed row does, so that row is all the partition
+    check reads.
 
     >>> validate_sequence(encode_semioscillating([(1, 2)], 2))
     [('add', (0, 0)), ('remove', (0, 0))]
     """
-    shapes = seq.shapes
+    moves = seq._moves
+    if moves is not None:
+        steps = [_SAME] * (len(seq.kind.half_steps) * seq.n)
+        for i, tag, cell in moves:
+            steps[i - 1] = (tag, cell)
+        return steps
+    shapes = seq._shapes
     if seq.n < 0:
         raise ValueError("n must be nonnegative")
     half_steps = seq.kind.half_steps
@@ -277,7 +351,7 @@ def validate_sequence(seq: TableauSequence) -> list:
     for i in range(1, len(shapes)):
         cur = shapes[i]
         if cur == prev:
-            steps.append(("same", None))
+            steps.append(_SAME)
             continue
         step = _step(prev, cur)
         if step is None:
@@ -312,38 +386,34 @@ def _check_arcs(pairs, n, allow_loops: bool):
     return cleaned
 
 
-def _shape(rows) -> Shape:
-    return tuple(map(len, rows))
-
-
 def _filling(rows) -> Rows:
     return tuple(map(tuple, rows))
 
 
-def _walk(kind: TableauKind, arcs, n: int, snapshot) -> tuple:
-    """Walk checked arcs over vertices 1..n through the half-steps of
-    `kind.half_steps`; return `snapshot(rows)` before the first and after
-    every half-step."""
-    steps = kind.half_steps
-    opens = {a: b for a, b in arcs}
-    closes = {b for _, b in arcs}
-    rows: list[list[int]] = []
-    entry = snapshot(rows)
-    trail = [entry]
-    for v in range(1, n + 1):
-        for step in steps:
-            if step != "open" and v in closes:
-                if not rows or rows[0][0] != v:
-                    raise ValueError("arc endpoints out of order at vertex %d" % v)
-                _delete_min_rows(rows)
-                entry = snapshot(rows)
-            elif step != "close" and v in opens:
-                _insert_rows(rows, opens[v])
-                entry = snapshot(rows)
-            trail.append(entry)
+def _walk(kind: TableauKind, arcs, n: int, rows: list[list[int]]):
+    """Walk checked arcs over vertices 1..n through `rows`, an empty
+    tableau, visiting only the half-steps an arc endpoint takes: an arc
+    (a, b) inserts b at its opening half-step of vertex a and deletes the
+    minimum at its closing half-step of vertex b.  Yield each move
+    (half-step, tag, cell) in half-step order; `rows` holds the tableau
+    after it."""
+    per_vertex = len(kind.half_steps)
+    events = [(per_vertex * (a - 1) + kind.opens_at, b) for a, b in arcs]
+    events += [(per_vertex * (b - 1) + kind.closes_at, 0) for _, b in arcs]  # 0: a close
+    for i, label in sorted(events):  # no two events share a half-step
+        if label:
+            yield (i, "add", _insert_rows(rows, label))
+            continue
+        v = (i + per_vertex - 1) // per_vertex
+        if not rows or rows[0][0] != v:
+            raise ValueError("arc endpoints out of order at vertex %d" % v)
+        yield (i, "remove", _delete_min_rows(rows))
     if rows:
         raise ConsistencyError("the %s walk must end empty" % kind.value)
-    return tuple(trail)
+
+
+def _encoded(kind: TableauKind, arcs, n: int) -> TableauSequence:
+    return _built(kind, n, list(_walk(kind, arcs, n, [])))
 
 
 def encode_vacillating(pairs, n: int) -> TableauSequence:
@@ -355,9 +425,8 @@ def encode_vacillating(pairs, n: int) -> TableauSequence:
     >>> seq.shapes[2], seq.shapes[8]
     ((1,), (1, 1))
     """
-    kind = TableauKind.VACILLATING
     arcs = _check_arcs(pairs, n, allow_loops=False)
-    return _built(kind, n, _walk(kind, arcs, n, _shape))
+    return _encoded(TableauKind.VACILLATING, arcs, n)
 
 
 def encode_hesitating(pairs, n: int) -> TableauSequence:
@@ -369,9 +438,8 @@ def encode_hesitating(pairs, n: int) -> TableauSequence:
     >>> seq.shapes[5], seq.shapes[7]
     ((2, 1), (3,))
     """
-    kind = TableauKind.HESITATING
     arcs = _check_arcs(pairs, n, allow_loops=True)
-    return _built(kind, n, _walk(kind, arcs, n, _shape))
+    return _encoded(TableauKind.HESITATING, arcs, n)
 
 
 def encode_semioscillating(pairs, n: int) -> TableauSequence:
@@ -384,17 +452,19 @@ def encode_semioscillating(pairs, n: int) -> TableauSequence:
     arcs = _check_arcs(pairs, n, allow_loops=False)
     if {a for a, _ in arcs} & {b for _, b in arcs}:
         raise ValueError("matching arcs must be vertex-disjoint")
-    kind = TableauKind.SEMI_OSCILLATING
-    return _built(kind, n, _walk(kind, arcs, n, _shape))
+    return _encoded(TableauKind.SEMI_OSCILLATING, arcs, n)
 
 
 def decode(seq: TableauSequence) -> tuple[tuple[int, int], ...]:
-    """Recover the arc list from a shape sequence, right to left.
+    """Recover the arc list from a walk, undoing its moves right to left.
 
     The backward pass maintains the tableau after each remaining prefix: a
     forward deletion is undone by reverse jeu de taquin (the vertex's own
     label re-enters at the top-left corner), a forward insertion is undone
     by reverse bumping, whose ejected label is the arc's right endpoint.
+    A carried sequence's moves are undone as they stand; shapes given to
+    the constructor are undone through the steps `validate_sequence`
+    classified.
 
     >>> decode(encode_vacillating([(1, 3), (3, 6), (4, 5)], 6))
     ((1, 3), (3, 6), (4, 5))
@@ -402,15 +472,15 @@ def decode(seq: TableauSequence) -> tuple[tuple[int, int], ...]:
     ((2, 2),)
     """
     steps = validate_sequence(seq)
+    moves = seq._moves
+    if moves is None:
+        moves = [(i, tag, cell) for i, (tag, cell) in enumerate(steps, 1) if cell is not None]
     half_steps = seq.kind.half_steps
     per_vertex = len(half_steps)
     loops = half_steps[0] == "open"  # an arc may close where it opened
     rows: list[list[int]] = []
     arcs: list[tuple[int, int]] = []
-    for i in range(len(steps), 0, -1):
-        tag, cell = steps[i - 1]
-        if tag == "same":
-            continue
+    for i, tag, cell in reversed(moves):
         v = (i + per_vertex - 1) // per_vertex
         if tag == "add":
             label = _uninsert_rows(rows, cell)
@@ -427,10 +497,19 @@ def decode(seq: TableauSequence) -> tuple[tuple[int, int], ...]:
 
 
 def transpose_sequence(seq: TableauSequence) -> TableauSequence:
-    """Conjugate every shape, each distinct one once.
+    """Conjugate every shape of the walk.
 
-    >>> transpose_sequence(encode_semioscillating([(1, 2)], 2)).shapes
-    ((), (1,), ())
+    Conjugation turns a one-box add or remove at (r, c) into one at (c, r)
+    at the same half-step, so a carried walk transposes move by move, and
+    the conjugate of a valid walk is a valid walk of the same kind.
+    Shapes given to the constructor are conjugated as they stand, each
+    distinct one once.
+
+    >>> transpose_sequence(encode_semioscillating([(1, 3), (2, 4)], 4)).shapes
+    ((), (1,), (1, 1), (1,), ())
     """
-    conjugates = {s: conjugate(s) for s in set(seq.shapes)}
-    return _built(seq.kind, seq.n, tuple(map(conjugates.__getitem__, seq.shapes)))
+    moves = seq._moves
+    if moves is None:
+        conjugates = {s: conjugate(s) for s in set(seq._shapes)}
+        return TableauSequence(seq.kind, seq.n, map(conjugates.__getitem__, seq._shapes))
+    return _built(seq.kind, seq.n, [(i, tag, (c, r)) for i, tag, (r, c) in moves])

@@ -357,6 +357,8 @@ def test_bijection_of_the_empty_set_partition(capsys):
         ("2 x", "word entry 'x' is not an integer"),
         ("{1,a}", "vertex 'a' is not an integer"),
         ("{1,,2}", "block {1,,2} must list vertices separated by commas"),
+        ("{1,2,2},{3}", "vertex 2 appears twice in a block"),
+        ("{1,1}", "vertex 1 appears twice in a block"),
     ],
 )
 def test_bijection_rejects_bad_input(capsys, text, message):

@@ -85,6 +85,15 @@ def test_set_partition_must_cover_ground_set():
         ColouredSetPartition([[1, 2], [2, 3]])
 
 
+@pytest.mark.parametrize(
+    "blocks, vertex", [([[1, 2, 2]], 2), ([[1, 2, 2], [3]], 2), ([[1, 1]], 1), ([[2], [1, 3, 1]], 1)]
+)
+def test_set_partition_block_must_not_repeat_a_vertex(blocks, vertex):
+    """A repeated vertex would make a loop arc (v, v) in a plain diagram."""
+    with pytest.raises(ValueError, match="^vertex %d appears twice in a block$" % vertex):
+        ColouredSetPartition(blocks)
+
+
 def test_empty_set_partition_round_trip():
     empty = ColouredSetPartition([])
     assert empty.to_text() == "{}"

@@ -1,11 +1,13 @@
 """The crossing/nesting involution on coloured diagrams."""
+import random
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossnest import cli, involution
+import _reference as reference
+from crossnest import cli, involution, tableaux
 from crossnest.diagrams import (
     ColouredPermutation,
     ColouredSetPartition,
@@ -102,6 +104,41 @@ def test_corrupted_image_is_exit_three(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "consistency failure: %s\n" % message
+
+
+def _random_object(rng, family, n, colours):
+    if family == "permutation":
+        word = rng.sample(range(1, n + 1), n)
+        return ColouredPermutation(word, [rng.randint(1, colours) for _ in word], colours)
+    blocks: list[list[int]] = []
+    for v in range(1, n + 1):
+        b = rng.randrange(len(blocks) + 1)
+        if b == len(blocks):
+            blocks.append([])
+        blocks[b].append(v)
+    arcs = n - len(blocks)
+    return ColouredSetPartition(blocks, [rng.randint(1, colours) for _ in range(arcs)], colours)
+
+
+@pytest.mark.parametrize(
+    "family, n, colours",
+    [("permutation", 6, 2), ("setpartition", 8, 2), ("permutation", 30, 3), ("setpartition", 30, 3)],
+    ids=["perm6-c2", "setpart8-c2", "perm30-c3", "setpart30-c3"],
+)
+def test_involution_classifies_no_step(monkeypatch, family, n, colours):
+    """The walks the involution builds carry their moves, so it never
+    classifies a step of shapes, yet gives the reference chain's image."""
+    rng = random.Random("%s-%d-%d" % (family, n, colours))
+    objects = [_random_object(rng, family, n, colours) for _ in range(25)]
+    with monkeypatch.context() as patched:
+        patched.setattr(involution, "involute_slice", reference.involute_slice)
+        expected = [involute(obj) for obj in objects]
+
+    def refuse(prev, cur):
+        raise AssertionError("a step was classified")
+
+    monkeypatch.setattr(tableaux, "_step", refuse)
+    assert [involute(obj) for obj in objects] == expected
 
 
 def _check_laws(obj):

@@ -1,6 +1,5 @@
 """Tableau walks: encoders, decoder, derived fillings, RSK row moves,
 orientation."""
-import dataclasses
 import re
 
 import pytest
@@ -127,6 +126,39 @@ def test_undelete_needs_the_minimal_label():
         _undelete_rows([[2]], (0, 1), 3)
 
 
+@st.composite
+def undeletions(draw):
+    """A standard tableau from row insertions, one of its addable cells and
+    a label to re-add there."""
+    rows = []
+    for label in draw(st.lists(st.integers(2, 40), unique=True, max_size=12)):
+        _insert_rows(rows, label)
+    addable = [(r, len(row)) for r, row in enumerate(rows) if r == 0 or len(rows[r - 1]) > len(row)]
+    cell = draw(st.sampled_from(addable + [(len(rows), 0)]))
+    return rows, cell, draw(st.integers(1, 41))
+
+
+@given(undeletions())
+@settings(max_examples=300)
+def test_undelete_checks_the_minimum_beside_the_hole(case):
+    """The two entries beside the hole decide it as a scan of every entry
+    would, and an accepted label leaves a standard tableau that deleting
+    the minimum takes back."""
+    rows, cell, label = case
+    before = [row[:] for row in rows]
+    smallest = not any(x <= label for row in rows for x in row)
+    try:
+        _undelete_rows(rows, cell, label)
+    except ConsistencyError as exc:
+        assert not smallest and "minimum" in str(exc)
+        return
+    assert smallest
+    _check_tableau(rows)
+    assert rows[0][0] == label
+    assert _delete_min_rows(rows) == cell
+    assert rows == before
+
+
 # --- golden walks -----------------------------------------------------------
 
 
@@ -174,7 +206,14 @@ def test_sequences_start_and_end_empty():
 
 
 def test_sequences_take_no_fillings():
-    assert [f.name for f in dataclasses.fields(TableauSequence)] == ["kind", "n", "shapes"]
+    """A sequence stores its kind, its size and its moves or its shapes,
+    never its fillings, and the constructor takes no fillings either."""
+    assert TableauSequence.__slots__ == ("_kind", "_n", "_moves", "_shapes")
+    seq = encode_vacillating([(1, 2)], 2)
+    assert not hasattr(seq, "__dict__")
+    for name in ("kind", "n", "shapes", "fillings"):
+        with pytest.raises(AttributeError):
+            setattr(seq, name, None)
     with pytest.raises(TypeError):
         TableauSequence(TableauKind("semioscillating"), 1, ((), ()), ((), ()))
 
@@ -320,3 +359,31 @@ def test_transpose_is_an_involution(case):
     back = transpose_sequence(transpose_sequence(seq))
     assert back.shapes == seq.shapes
     assert back.kind == seq.kind
+
+
+@st.composite
+def any_walks(draw):
+    """A walk of each flavour from random arcs, or its transpose."""
+    kind = draw(st.sampled_from(sorted(ENCODERS)))
+    n, pairs = draw(
+        partial_matchings() if kind == "semioscillating"
+        else partition_arcs(loops=kind == "hesitating")
+    )
+    seq = ENCODERS[kind](pairs, n)
+    return transpose_sequence(seq) if draw(st.booleans()) else seq
+
+
+@given(any_walks())
+@settings(max_examples=300)
+def test_built_sequences_agree_with_rebuilt_ones(seq):
+    """A sequence that carries its moves equals the one built from its
+    shapes, hashes the same and validates and decodes the same, though
+    only the rebuilt one is checked step by step."""
+    rebuilt = TableauSequence(seq.kind, seq.n, seq.shapes)
+    assert seq == rebuilt and rebuilt == seq
+    assert hash(seq) == hash(rebuilt)
+    assert validate_sequence(seq) == validate_sequence(rebuilt)
+    assert decode(seq) == decode(rebuilt)
+    assert transpose_sequence(seq) == transpose_sequence(rebuilt)
+    assert seq.fillings == rebuilt.fillings
+    assert repr(seq) == repr(rebuilt)
