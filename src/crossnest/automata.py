@@ -9,17 +9,21 @@ per gap between consecutive vertices for set partitions (a size-n partition
 is an (n-1)-step walk), one step per vertex for permutations (size n is an
 n-step walk, with upper and lower shape tuples of equal total size).
 
-Each family has one move generator, `_setpartition_moves` or
-`_permutation_moves`, which looks corners up in per-box tables; it is the
-only source of edges for the full graphs (`build_general`) and the colour
-quotients (`build_quotient`).  At the fully worked-out bound j = k = 2 a
-shape is either empty or a single box, so a state is named by its set of
-open colours (for permutations, equal-size upper|lower sets) and every move
-carries its classic label: `x` an empty gap, a colour that opens, closes or
-forms a loop, `c1c2` an arc closed in one colour and opened in another,
-`uc1c2` / `oc1c2` upper / lower transitories, `ct` a lower composite.
-`build_setpartition_22` and `build_permutation_22` return these labelled
-graphs; other bounds name states by their shapes and leave edges unlabelled.
+A state is stored as a count vector: how many colours hold a shape of
+each class (one vector per half for permutations, whose upper and lower
+colours are apart).  Each family has one move generator,
+`_setpartition_moves` or `_permutation_moves`, which moves members of
+classes along per-box corner tables and yields every target with its
+multiplicity; it is the only source of edges for the full graphs
+(`build_general`) and the symmetry quotients (`build_quotient`).  At the
+fully worked-out bound j = k = 2 a shape is either empty or a single box,
+so a state is named by its set of open colours (for permutations,
+equal-size upper|lower sets) and every move carries its classic label:
+`x` an empty gap, a colour that opens, closes or forms a loop, `c1c2` an
+arc closed in one colour and opened in another, `uc1c2` / `oc1c2` upper /
+lower transitories, `ct` a lower composite.  `build_setpartition_22` and
+`build_permutation_22` return these labelled graphs; other bounds name
+states by their shapes and leave edges unlabelled.
 
 Set partition gap moves from shapes (l_1..l_r), all bounds enforced on
 intermediates too:
@@ -56,10 +60,30 @@ So the orbits of this group form an equitable partition (every state of an
 orbit has the same number of edges into any given orbit), and closed walks
 at the start state equal closed walks at the start orbit of the quotient,
 whose row for orbit a counts the edges from one member of a into each
-orbit.  `build_quotient` builds those rows directly by a breadth-first
-search over keyed states (each shape the smaller of itself and its
-conjugate at j = k, then sorted within its half), so 2^r set partition
-states fold into r + 1 orbits.  The `gf` and `series` verbs count on the
+orbit.  An orbit is a count vector over key classes, one per shape up to
+conjugation at j = k (the shapes themselves otherwise): the orbit of a
+state is all it says once colours may be relabelled and shapes keyed.
+Colours whose shapes share a class move alike (conjugation matches their
+corners), and the orbit a move reaches depends only on the classes it
+moves members between.  So each move of a class's shape stands for one
+edge per choice of colours, and the generator yields it once with that
+count, m_s colours being in class s:
+
+* one colour of class s grows or shrinks (openers, closers and one-colour
+  composites): m_s;
+* two distinct colours of one half, the first opening in class s and the
+  second closing in class t (a set partition's arc closed in one colour and
+  opened in another, a permutation's transitory): m_s * (m_t - [s = t]),
+  since the second is any member of t but the first;
+* a permutation's opener or closer, one upper colour in class s and one
+  lower colour in class t: m_s * m_t, the halves being apart.
+
+The full graph runs the same generators on (colour, shape) classes, one
+colour per class: every count is 0 or 1, so each multiplicity is 1 or the
+move is absent (m_t - [s = t] drops same-colour pairs), and its j = k = 2
+labels come from the colours of the classes moved.  So a quotient state
+costs the same for any r: 2^r set partition states fold into r + 1 orbits
+and each has a handful of moves.  The `gf` and `series` verbs count on the
 quotient; the full graph is built only to be printed.  Graphs are stored
 as the sparse rows the moves produce, so walks, symmetry checks and DOT
 export cost one pass over the edges; the dense `matrix` view is built on
@@ -200,13 +224,37 @@ def _shrunk(shape) -> tuple:
 
 
 @lru_cache(maxsize=8)
-def _corners(j: int, k: int) -> tuple[dict, dict, Optional[dict]]:
+def _corners(j: int, k: int) -> tuple[dict, dict, dict]:
     """Tables for one box: each shape's grown and shrunk shapes, and its
-    key, the smaller of itself and its conjugate; no key table at j != k
-    or j = k = 2, where every shape is its own key."""
+    key, the smaller of itself and its conjugate at j = k and the shape
+    itself otherwise."""
     shapes = _bounded_shapes(j, k)
-    keys = {s: min(s, conjugate(s)) for s in shapes} if j == k > 2 else None
+    keys = {s: min(s, conjugate(s)) if j == k else s for s in shapes}
     return {s: _grown(s, j, k) for s in shapes}, {s: _shrunk(s) for s in shapes}, keys
+
+
+def _classes(j: int, k: int, r: int, keyed: bool):
+    """The classes a count vector counts, as sorted (colour, shape) pairs:
+    one per key shape, with colour 0, for the quotient, one per colour and
+    shape for the full graph.  Also returns `place(c, shape)`, the class of
+    colour c holding `shape`, and the tables the move generators read: the
+    classes one box larger and smaller than each class, and each class's
+    1-based colour where the moves are labelled (the full graph at
+    j = k = 2), else None."""
+    grow, shrink, key = _corners(j, k)
+    tag = (lambda c, s: (0, key[s])) if keyed else (lambda c, s: (c, s))
+    classes = sorted({tag(c, s) for c in range(1 if keyed else r) for s in key})
+    index = {cl: i for i, cl in enumerate(classes)}
+
+    def place(c, s):
+        return index[tag(c, s)]
+
+    tables = (
+        tuple(tuple(place(c, g) for g in grow[s]) for c, s in classes),
+        tuple(tuple(place(c, g) for g in shrink[s]) for c, s in classes),
+        tuple(c + 1 for c, _ in classes) if j == k == 2 and not keyed else None,
+    )
+    return classes, place, tables
 
 
 def _shape_name(shape) -> str:
@@ -276,39 +324,26 @@ def _build_full(family: str, j: int, k: int, r: int, max_states: Optional[int]) 
         names = tuple("|".join(map(_set_name, _open_sets(family, st))) for st in states)
     else:
         names = tuple(_state_name(family, st) for st in states)
-    moves = _MOVES[family]
-    index = {s: i for i, s in enumerate(states)}
-    rows: list[dict[int, int]] = [{} for _ in states]
-    labels: dict[tuple[int, int], list[str]] = {}
-    for i, (row, st) in enumerate(zip(rows, states)):
-        for t, label in moves(st, j, k):
-            dest = index[t]
-            row[dest] = row.get(dest, 0) + 1
-            if labelled and dest >= i:  # the graph is symmetric
-                labels.setdefault((i, dest), []).append(label)
-    return Multigraph(
-        family=family,
-        j=j,
-        k=k,
-        colours=r,
-        states=names,
-        rows=tuple(rows),
-        builder="dedicated" if labelled else "general",
-        edge_labels={key: tuple(val) for key, val in labels.items()} if labelled else None,
-    )
+    classes, place, tables = _classes(j, k, r, keyed=False)
+    states = [_vector(family, st, place, len(classes)) for st in states]  # count vectors now
+    rows, labels = _rows(family, tables, states, {v: i for i, v in enumerate(states)}, len(states))
+    builder = "dedicated" if labelled else "general"
+    return Multigraph(family, j, k, r, names, rows, builder, edge_labels=labels)
 
 
 def build_quotient(family: str, j: int, k: int, r: int, max_states: Optional[int] = None) -> Multigraph:
     """The quotient of `build_general(family, j, k, r)` by its symmetry
     group (see the module docstring).
 
-    A breadth-first search from the empty state over keyed states (shapes
-    keyed, then sorted); `rows[a][b]` counts the moves from the
-    representative of orbit a into orbit b.  Orbit 0 is the start state.
-    The search stops as soon as the orbit count passes `max_states`.
+    A breadth-first search from the empty state over count vectors, one
+    class per key shape; `rows[a][b]` counts the moves from one member of
+    orbit a into orbit b.  Orbit 0 is the start state.  The search stops as
+    soon as the orbit count passes `max_states`.
 
     >>> build_quotient("setpartition", 2, 2, 3).matrix
     ((4, 3, 0, 0), (1, 5, 2, 0), (0, 2, 4, 1), (0, 0, 3, 1))
+    >>> build_quotient("setpartition", 2, 2, 3).states
+    ('()^3', '()^2|(1)^1', '()^1|(1)^2', '(1)^3')
     """
     _check_bounds(family, j, k, r)
     cap = DEFAULT_MAX_STATES if max_states is None else max_states
@@ -318,120 +353,119 @@ def build_quotient(family: str, j: int, k: int, r: int, max_states: Optional[int
         raise ConsistencyError(
             "start state %s is not fixed by the symmetry group" % _state_name(family, start)
         )
+    classes, place, tables = _classes(j, k, r, keyed=True)
+    states = [_vector(family, start, place, len(classes))]
+    rows, _ = _rows(family, tables, states, {states[0]: 0}, cap)
+    names = tuple(_count_name(family, st, classes) for st in states)
+    return Multigraph(family, j, k, r, names, rows, builder="quotient")
+
+
+def _rows(family: str, tables, states: list, index: dict, cap: int):
+    """The row of every state in `states`, which grows while it is scanned
+    by each target not in `index` (the quotient's search; the full graph
+    hands in every state), and the j = k = 2 labels of the edges (a, b)
+    with b >= a when `tables` carries colours (else None)."""
     moves = _MOVES[family]
-    key = _corners(j, k)[2]
-    reps = [start]
-    index = {start: 0}
+    labelled = tables[2] is not None
     rows: list[dict[int, int]] = []
-    for rep in reps:  # reps grows while it is scanned
+    labels: dict[tuple[int, int], list[str]] = {}
+    for i, st in enumerate(states):
         row: dict[int, int] = {}
-        for t, _ in moves(rep, j, k):
-            t = _canonical(family, t, key)
+        for t, mult, label in moves(st, tables):
             dest = index.get(t)
             if dest is None:
-                if len(reps) >= cap:
+                if len(states) >= cap:
                     raise CapExceeded(
                         "symmetry quotient has more than %d orbits; raise the "
                         "cap to proceed" % cap
                     )
-                dest = index[t] = len(reps)
-                reps.append(t)
-            row[dest] = row.get(dest, 0) + 1
+                dest = index[t] = len(states)
+                states.append(t)
+            row[dest] = row.get(dest, 0) + mult
+            if labelled and dest >= i:  # the graph is symmetric
+                labels.setdefault((i, dest), []).append(label)
         rows.append(row)
-    return Multigraph(
-        family=family,
-        j=j,
-        k=k,
-        colours=r,
-        states=tuple(_state_name(family, st) for st in reps),
-        rows=tuple(rows),
-        builder="quotient",
-    )
+    return tuple(rows), {key: tuple(val) for key, val in labels.items()} if labelled else None
 
 
 def _boxes(shapes) -> int:
     return sum(sum(s) for s in shapes)
 
 
-def _put(shapes, c, shape):
-    return shapes[:c] + (shape,) + shapes[c + 1 :]
+def _move(h: tuple, s: int, t: int) -> tuple:
+    """Count vector h with one member moved from class s to class t."""
+    v = list(h)
+    v[s] -= 1
+    v[t] += 1
+    return tuple(v)
 
 
-def _setpartition_moves(st, j, k):
-    """(target, label) for each gap move from shape tuple `st`, one per
-    edge.  The label is the classic one at j = k = 2 and None otherwise."""
-    grow, shrink, _ = _corners(j, k)
-    labelled = j == k == 2
-    yield st, "x" if labelled else None  # gap with no arc
-    for c, lam in enumerate(st):
-        label = str(c + 1) if labelled else None
-        for grown in grow[lam]:
-            opened = _put(st, c, grown)
-            yield opened, label  # plain opener
-            # same-colour open-then-close across the gap
-            for back in shrink[grown]:
-                yield _put(st, c, back), label
-            # open c, close another colour
-            for c2, other in enumerate(st):
-                if c2 != c:
-                    for back in shrink[other]:
-                        yield _put(opened, c2, back), _pair_label("", c, c2, labelled)
-        for back in shrink[lam]:
-            yield _put(st, c, back), label
+def _transitories(h: tuple, occupied: list, grow, shrink):
+    """(target, multiplicity, s, t) for each move of two distinct members of
+    count vector h: one of class s gains a box, then one of class t loses
+    one.  The second is one of the h[t] - [s = t] members besides the first."""
+    for s in occupied:
+        for a in grow[s]:
+            grown = _move(h, s, a)
+            for t in occupied:
+                mult = h[s] * (h[t] - (s == t))
+                if mult:
+                    for b in shrink[t]:
+                        yield _move(grown, t, b), mult, s, t
 
 
-def _permutation_moves(state, j, k):
-    """(target, label) for each vertex move from (upper, lower) shape
-    tuples, one per edge; labels as for `_setpartition_moves`.  All upper
+def _setpartition_moves(m: tuple, tables):
+    """(target, multiplicity, label) for the gap moves from count vector m.
+    The label is the classic one where the tables carry colours (the full
+    j = k = 2 graph), else None: each label is `colour and ...`."""
+    grow, shrink, colour = tables
+    occupied = [s for s, n in enumerate(m) if n]
+    yield m, 1, colour and "x"  # gap with no arc
+    for s in occupied:
+        label = colour and str(colour[s])
+        for g in grow[s]:
+            yield _move(m, s, g), m[s], label  # plain opener
+            for back in shrink[g]:  # same-colour open-then-close across the gap
+                yield _move(m, s, back), m[s], label
+        for back in shrink[s]:
+            yield _move(m, s, back), m[s], label
+    for target, mult, s, t in _transitories(m, occupied, grow, shrink):
+        yield target, mult, colour and _pair("", colour[s], colour[t])
+
+
+def _permutation_moves(state, tables):
+    """(target, multiplicity, label) for the vertex moves from (upper,
+    lower) count vectors; labels as for `_setpartition_moves`.  All upper
     composites come before any lower one, the classic self-loop order."""
-    grow, shrink, _ = _corners(j, k)
-    labelled = j == k == 2
+    grow, shrink, colour = tables
     u, low = state
-    r = len(u)
-    u_grow = [grow[s] for s in u]
-    u_shrink = [shrink[s] for s in u]
-    low_grow = [grow[s] for s in low]
-    low_shrink = [shrink[s] for s in low]
-    # upper composite: insert, then delete from the grown shape
-    for c in range(r):
-        for grown in u_grow[c]:
-            for back in shrink[grown]:
-                yield (_put(u, c, back), low), str(c + 1) if labelled else None
-    # lower composite: delete, then re-insert
-    for c in range(r):
-        for shrunk in low_shrink[c]:
-            for back in grow[shrunk]:
-                yield (u, _put(low, c, back)), "%dt" % (c + 1) if labelled else None
-    # cross-colour transitories
-    for c in range(r):
-        for a in u_grow[c]:
-            grown = _put(u, c, a)
-            for c2 in range(r):
-                if c2 != c:
-                    for b in u_shrink[c2]:
-                        yield (_put(grown, c2, b), low), _pair_label("u", c, c2, labelled)
-        for a in low_grow[c]:
-            grown = _put(low, c, a)
-            for c2 in range(r):
-                if c2 != c:
-                    for b in low_shrink[c2]:
-                        yield (u, _put(grown, c2, b)), _pair_label("o", c, c2, labelled)
-    # openers and closers: one upper and one lower corner
-    for upper, lower in ((u_grow, low_grow), (u_shrink, low_shrink)):
-        for cu in range(r):
-            for a in upper[cu]:
-                new_u = _put(u, cu, a)
-                for cl in range(r):
-                    for b in lower[cl]:
-                        label = "%d%d" % (cu + 1, cl + 1) if labelled else None
-                        yield (new_u, _put(low, cl, b)), label
+    up = [s for s, n in enumerate(u) if n]
+    lo = [s for s, n in enumerate(low) if n]
+    for s in up:  # upper composite: insert, then delete from the grown shape
+        for g in grow[s]:
+            for back in shrink[g]:
+                yield (_move(u, s, back), low), u[s], colour and str(colour[s])
+    for s in lo:  # lower composite: delete, then re-insert
+        for g in shrink[s]:
+            for back in grow[g]:
+                yield (u, _move(low, s, back)), low[s], colour and "%dt" % colour[s]
+    for target, mult, s, t in _transitories(u, up, grow, shrink):
+        yield (target, low), mult, colour and _pair("u", colour[s], colour[t])
+    for target, mult, s, t in _transitories(low, lo, grow, shrink):
+        yield (u, target), mult, colour and _pair("o", colour[s], colour[t])
+    for step in (grow, shrink):  # openers and closers: one upper, one lower corner
+        for s in up:
+            for a in step[s]:
+                new_u = _move(u, s, a)
+                for t in lo:
+                    for b in step[t]:
+                        label = colour and "%d%d" % (colour[s], colour[t])
+                        yield (new_u, _move(low, t, b)), u[s] * low[t], label
 
 
-def _pair_label(prefix: str, c: int, c2: int, labelled: bool) -> Optional[str]:
-    """A label naming two 0-based colours, 1-based and in increasing order."""
-    if not labelled:
-        return None
-    return "%s%d%d" % (prefix, min(c, c2) + 1, max(c, c2) + 1)
+def _pair(prefix: str, c: int, c2: int) -> str:
+    """A label naming two colours in increasing order."""
+    return "%s%d%d" % (prefix, min(c, c2), max(c, c2))
 
 
 _MOVES = {"setpartition": _setpartition_moves, "permutation": _permutation_moves}
@@ -442,17 +476,21 @@ def _start_state(family: str, r: int):
     return empty if family == "setpartition" else (empty, empty)
 
 
-def _canonical(family: str, st, key: Optional[dict]):
-    """The orbit representative: every shape keyed, then sorted."""
-    if family == "setpartition":
-        return tuple(sorted(st if key is None else map(key.__getitem__, st)))
-    return tuple(tuple(sorted(h if key is None else map(key.__getitem__, h))) for h in st)
-
-
 def _halves(family: str, st) -> tuple:
-    """The shape tuples of a state, whose colours the group relabels apart:
-    one for set partitions, upper and lower for permutations."""
+    """The parts of a state whose colours the group relabels apart: one for
+    set partitions, upper and lower for permutations."""
     return (st,) if family == "setpartition" else st
+
+
+def _vector(family: str, st, place, size: int):
+    """The count vectors of a state given as shape tuples."""
+    out = []
+    for h in _halves(family, st):
+        v = [0] * size
+        for c, s in enumerate(h):
+            v[place(c, s)] += 1
+        out.append(tuple(v))
+    return out[0] if family == "setpartition" else tuple(out)
 
 
 def _open_sets(family: str, st) -> tuple:
@@ -462,6 +500,14 @@ def _open_sets(family: str, st) -> tuple:
 
 def _state_name(family: str, st) -> str:
     return ";".join("|".join(map(_shape_name, h)) for h in _halves(family, st))
+
+
+def _count_name(family: str, st, classes) -> str:
+    """A keyed state's name: each occupied class's shape and count."""
+    return ";".join(
+        "|".join("%s^%d" % (_shape_name(classes[s][1]), n) for s, n in enumerate(h) if n)
+        for h in _halves(family, st)
+    )
 
 
 def export_dot(g: Multigraph) -> str:

@@ -27,10 +27,16 @@ det(I - xA) that `ratfunc.gf_from_graph` replaced with one determinant
 and the walk series.  `split_linear_factors` trial-divides by every
 divisor of the leading coefficient, with no bound on the slopes.
 
-`colour_quotient` is the quotient `automata.build_quotient` built before
-its key took the whole symmetry group: colour permutations alone (S_r),
-one relabelling for a permutation's upper and lower colours together.  Its
-`search` with the identity key reaches the full graph's states.  `lump`
+`_setpartition_moves` and `_permutation_moves` are the per-colour move
+generators the builders used before states became count vectors: a state
+is a tuple of shapes, one per colour, and every move rebuilds it with
+`_put`.  `search` runs them breadth first from the empty state under any
+key: with the identity it reaches the full graph's states (`full_graph`
+adds the j = k = 2 labels), and with `_canonical` (every shape keyed, then
+sorted) it is the sorted-tuple search `keyed_quotient` that
+`automata.build_quotient` must agree with.  `colour_quotient` is the
+quotient by colour permutations alone (S_r), one relabelling for a
+permutation's upper and lower colours together.  `lump`
 finds the coarsest equitable partition with the start state alone by
 plain refinement: cells split by each state's edge counts into the
 current cells until none splits (lumpability as in Kemeny and Snell,
@@ -39,8 +45,9 @@ Comput. 16, 1987, without their bookkeeping).
 """
 from itertools import combinations
 from math import isqrt
+from typing import Optional
 
-from crossnest.automata import Multigraph, _MOVES, _start_state
+from crossnest.automata import Multigraph, _corners, _start_state
 from crossnest.diagrams import _pairs, colour_slices
 from crossnest.errors import ConsistencyError
 from crossnest.ratfunc import ONE, IntPoly, RationalFunction, det_identity_minus_x
@@ -273,6 +280,97 @@ def split_linear_factors(p):
     return (work.coeffs[0], tuple(sorted(slopes)))
 
 
+def _put(shapes, c, shape):
+    return shapes[:c] + (shape,) + shapes[c + 1 :]
+
+
+def _setpartition_moves(st, j, k):
+    """(target, label) for each gap move from shape tuple `st`, one per
+    edge.  The label is the classic one at j = k = 2 and None otherwise."""
+    grow, shrink, _ = _corners(j, k)
+    labelled = j == k == 2
+    yield st, "x" if labelled else None  # gap with no arc
+    for c, lam in enumerate(st):
+        label = str(c + 1) if labelled else None
+        for grown in grow[lam]:
+            opened = _put(st, c, grown)
+            yield opened, label  # plain opener
+            # same-colour open-then-close across the gap
+            for back in shrink[grown]:
+                yield _put(st, c, back), label
+            # open c, close another colour
+            for c2, other in enumerate(st):
+                if c2 != c:
+                    for back in shrink[other]:
+                        yield _put(opened, c2, back), _pair_label("", c, c2, labelled)
+        for back in shrink[lam]:
+            yield _put(st, c, back), label
+
+
+def _permutation_moves(state, j, k):
+    """(target, label) for each vertex move from (upper, lower) shape
+    tuples, one per edge; labels as for `_setpartition_moves`.  All upper
+    composites come before any lower one, the classic self-loop order."""
+    grow, shrink, _ = _corners(j, k)
+    labelled = j == k == 2
+    u, low = state
+    r = len(u)
+    u_grow = [grow[s] for s in u]
+    u_shrink = [shrink[s] for s in u]
+    low_grow = [grow[s] for s in low]
+    low_shrink = [shrink[s] for s in low]
+    # upper composite: insert, then delete from the grown shape
+    for c in range(r):
+        for grown in u_grow[c]:
+            for back in shrink[grown]:
+                yield (_put(u, c, back), low), str(c + 1) if labelled else None
+    # lower composite: delete, then re-insert
+    for c in range(r):
+        for shrunk in low_shrink[c]:
+            for back in grow[shrunk]:
+                yield (u, _put(low, c, back)), "%dt" % (c + 1) if labelled else None
+    # cross-colour transitories
+    for c in range(r):
+        for a in u_grow[c]:
+            grown = _put(u, c, a)
+            for c2 in range(r):
+                if c2 != c:
+                    for b in u_shrink[c2]:
+                        yield (_put(grown, c2, b), low), _pair_label("u", c, c2, labelled)
+        for a in low_grow[c]:
+            grown = _put(low, c, a)
+            for c2 in range(r):
+                if c2 != c:
+                    for b in low_shrink[c2]:
+                        yield (u, _put(grown, c2, b)), _pair_label("o", c, c2, labelled)
+    # openers and closers: one upper and one lower corner
+    for upper, lower in ((u_grow, low_grow), (u_shrink, low_shrink)):
+        for cu in range(r):
+            for a in upper[cu]:
+                new_u = _put(u, cu, a)
+                for cl in range(r):
+                    for b in lower[cl]:
+                        label = "%d%d" % (cu + 1, cl + 1) if labelled else None
+                        yield (new_u, _put(low, cl, b)), label
+
+
+def _pair_label(prefix: str, c: int, c2: int, labelled: bool) -> Optional[str]:
+    """A label naming two 0-based colours, 1-based and in increasing order."""
+    if not labelled:
+        return None
+    return "%s%d%d" % (prefix, min(c, c2) + 1, max(c, c2) + 1)
+
+
+_MOVES = {"setpartition": _setpartition_moves, "permutation": _permutation_moves}
+
+
+def _canonical(family: str, st, key: Optional[dict]):
+    """The orbit representative: every shape keyed, then sorted."""
+    if family == "setpartition":
+        return tuple(sorted(st if key is None else map(key.__getitem__, st)))
+    return tuple(tuple(sorted(h if key is None else map(key.__getitem__, h))) for h in st)
+
+
 def search(family, j, k, r, key):
     """A breadth-first search from the empty state over `key(state)`s: the
     representatives, and for each a `{index: count}` row of its moves."""
@@ -288,6 +386,27 @@ def search(family, j, k, r, key):
             row[index[t]] = row.get(index[t], 0) + 1
         rows.append(row)
     return reps, rows
+
+
+def full_graph(family, j, k, r):
+    """The full graph by the per-colour generators, keyed by shape tuples:
+    each state's `{target: count}` row, and the labels of the moves from
+    each state to each target in the order the generator yields them."""
+    rows, labels = {}, {}
+    for st in search(family, j, k, r, lambda st: st)[0]:
+        row = rows[st] = {}
+        for t, label in _MOVES[family](st, j, k):
+            row[t] = row.get(t, 0) + 1
+            labels.setdefault((st, t), []).append(label)
+    return rows, labels
+
+
+def keyed_quotient(family, j, k, r):
+    """The symmetry quotient by the sorted-tuple search: every shape
+    keyed, then sorted within its half."""
+    key = _corners(j, k)[2]
+    reps, rows = search(family, j, k, r, lambda st: _canonical(family, st, key))
+    return Multigraph(family, j, k, r, tuple(map(repr, reps)), tuple(rows), "quotient")
 
 
 def colour_quotient(family, j, k, r):

@@ -3,6 +3,8 @@ from math import comb
 
 import pytest
 
+from _reference import full_graph
+from crossnest import automata
 from crossnest.automata import (
     Multigraph,
     build_general,
@@ -13,6 +15,7 @@ from crossnest.automata import (
 )
 from crossnest.errors import CapExceeded
 from crossnest.ratfunc import gf_from_graph, series_by_power
+from test_graph_pins import DIGESTS
 
 # adjacency matrices worked out by hand from the gap/vertex moves
 SP_R1 = [[2, 1], [1, 1]]
@@ -161,6 +164,28 @@ def test_rows_are_sparse_and_match_the_dense_view(builder, family, j, k, r):
     assert all(type(line) is tuple for line in g.matrix)
     mirrored = all(dense[a][b] == dense[b][a] for a in range(n) for b in range(a))
     assert g.is_symmetric() == mirrored
+
+
+@pytest.mark.parametrize(
+    "family,j,k,r",
+    sorted({case[:4] for case in DIGESTS}) + [("permutation", 3, 2, 3), ("permutation", 4, 4, 1)],
+)
+def test_general_graph_matches_the_per_colour_generators(family, j, k, r):
+    g = build_general(family, j, k, r)
+    rows, labels = full_graph(family, j, k, r)
+    if j == k == 2:
+        names = {st: "|".join(map(automata._set_name, automata._open_sets(family, st))) for st in rows}
+    else:
+        names = {st: automata._state_name(family, st) for st in rows}
+    index = {name: a for a, name in enumerate(g.states)}
+    assert sorted(index[name] for name in names.values()) == list(range(g.size))
+    for st, row in rows.items():
+        assert g.rows[index[names[st]]] == {index[names[t]]: m for t, m in row.items()}
+    if j == k == 2:
+        expected = {(index[names[st]], index[names[t]]): tuple(labs) for (st, t), labs in labels.items()}
+        assert g.edge_labels == {(a, b): labs for (a, b), labs in expected.items() if b >= a}
+    else:
+        assert g.edge_labels is None
 
 
 # --- DOT export -------------------------------------------------------------

@@ -463,6 +463,29 @@ def test_gf_cap_is_exit_two(capsys):
     assert "210" in err
 
 
+@pytest.mark.parametrize(
+    "family,expected",
+    [
+        # size 3 is r^2 + 3r + 1 for set partitions; sizes 2 and 3 are 2r^2
+        # and 6r^3 - 2r^2 for permutations (the published series at r = 1..4)
+        ("setpartition", "1,1,401,161201"),
+        ("permutation", "1,400,320000,383680000"),
+    ],
+)
+def test_series_with_many_colours(capsys, family, expected):
+    code, out, _ = run_cli(
+        capsys, "series", "--family", family, "--colours", "400", "--terms", "3"
+    )
+    assert code == 0
+    assert out.strip() == expected
+
+
+def test_gf_cap_refuses_many_colours(capsys):
+    code, _, err = run_cli(capsys, "gf", "--family", "setpartition", "--colours", "201")
+    assert code == 2
+    assert "202 states (cap 200)" in err
+
+
 def test_env_cap_applies(capsys, monkeypatch):
     monkeypatch.setenv("CROSSNEST_MAX_GF_STATES", "2")  # r=2 has 3 orbits
     code, _, _ = run_cli(capsys, "gf", "--family", "setpartition", "--colours", "2")

@@ -6,12 +6,13 @@ alone, a lumping refinement, or the brute-force oracle where the full
 graph is out of reach.
 """
 import re
+from itertools import groupby
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from _reference import colour_quotient, gf_by_minor, lump, search
+from _reference import _canonical, colour_quotient, gf_by_minor, keyed_quotient, lump, search
 from crossnest import automata, oracle
 from crossnest.automata import (
     build_general,
@@ -86,10 +87,34 @@ def test_permutation_five_colours():
         assert counts[n] == oracle.count(EnumSpec("permutation", n, 5, j=2, k=2))
 
 
+@pytest.mark.parametrize(
+    "family,j,k,r",
+    [
+        ("setpartition", 2, 2, 12),
+        ("setpartition", 3, 3, 5),
+        ("permutation", 2, 2, 8),
+        ("permutation", 3, 3, 3),
+    ],
+)
+def test_count_vectors_match_the_sorted_tuple_search(family, j, k, r):
+    q = build_quotient(family, j, k, r)
+    ref = keyed_quotient(family, j, k, r)
+    assert q.size == ref.size
+    assert sum(map(len, q.rows)) == sum(map(len, ref.rows))
+    terms = 2 * q.size + 5
+    assert series_by_power(q, terms) == series_by_power(ref, terms)
+
+
+def test_keyed_state_names_do_not_grow_with_the_colours():
+    q = build_quotient("setpartition", 2, 2, 19999)
+    assert q.size == 20000
+    assert max(map(len, q.states)) < 40
+
+
 def test_quotient_matrix_is_not_symmetric():
     q = build_quotient("setpartition", 2, 2, 3)
     assert q.builder == "quotient"
-    assert q.states[0] == "()|()|()"
+    assert q.states[0] == "()^3"
     assert not q.is_symmetric()
 
 
@@ -97,9 +122,9 @@ def test_orbit_cap_stops_the_search(monkeypatch):
     expanded = []
     moves = automata._MOVES["setpartition"]
 
-    def counting(st, j, k):
+    def counting(st, tables):
         expanded.append(st)
-        return moves(st, j, k)
+        return moves(st, tables)
 
     monkeypatch.setitem(automata._MOVES, "setpartition", counting)
     with pytest.raises(CapExceeded, match="more than 20 orbits"):
@@ -157,7 +182,14 @@ def test_keyed_partition_is_equitable(family, j, k, r):
     index = {name: a for a, name in enumerate(keyed.states)}
 
     def key(st):
-        return index[automata._state_name(family, automata._canonical(family, st, table))]
+        # a keyed state is named by its sorted key shapes, each with its
+        # number of colours
+        halves = automata._halves(family, _canonical(family, st, table))
+        name = ";".join(
+            "|".join("%s^%d" % (automata._shape_name(s), len(list(g))) for s, g in groupby(h))
+            for h in halves
+        )
+        return index[name]
 
     states, rows = search(family, j, k, r, lambda st: st)
     assert len(states) == build_general(family, j, k, r).size
