@@ -18,13 +18,15 @@ one shared walk (`_splits`).  A colouring is admissible exactly when each
 colour class is, and relabelling colours keeps cr and ne, so the walk
 splits each object's arcs into at most r colour classes by backtracking;
 a split into b classes stands for the r(r-1)...(r-b+1) colourings that
-give its classes distinct colours.  The upper and the lower arcs of each
-class are scored by `cr_ne` once per object, and the running (cr, ne) is
-their maximum.  Adding an arc never lowers it, so a branch is dropped as
-soon as it breaks a bound.  `joint_histogram` is the walk's count per
-(cr, ne) pair; `count` is their sum, or r^arcs per object without bounds.
-`enumerate_objects` is the only per-colouring enumerator, the slow
-reference both are tested against.
+give its classes distinct colours.  The running (cr, ne) is the maximum
+over the classes' upper and lower arcs.  The cr and ne of one side of a
+class depend only on its set of arcs, so one table per call, keyed by
+that set, scores each distinct set by `cr_ne` once, whichever objects it
+occurs in.  Adding an arc never lowers the running pair, so a branch is
+dropped as soon as it breaks a bound.  `joint_histogram` is the walk's
+count per (cr, ne) pair; `count` is their sum, or r^arcs per object
+without bounds.  `enumerate_objects` is the only per-colouring
+enumerator, the slow reference both are tested against.
 
 Workloads are estimated before a single object is generated: n! * r^n for
 permutations, sum over block counts of S(n, b) * r^(n-b) for set
@@ -72,6 +74,8 @@ class EnumSpec:
             raise ValueError("n must be nonnegative")
         if self.colours < 1:
             raise ValueError("need at least one colour")
+        if self.max_objects is not None and self.max_objects < 0:
+            raise ValueError("max_objects must be nonnegative")
         for bound in (self.j, self.k):
             if bound is not None and bound < 2:
                 raise ValueError("bounds j, k must be at least 2")
@@ -160,15 +164,6 @@ def _rgs_blocks(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         yield tuple(tuple(b) for b in blocks)
 
 
-def _falling(r: int) -> list[int]:
-    """falling[b] = r(r-1)...(r-b+1) for b = 0..r: the colourings that give
-    b colour classes distinct colours."""
-    falling = [1]
-    for b in range(r):
-        falling.append(falling[-1] * (r - b))
-    return falling
-
-
 def enumerate_objects(spec: EnumSpec) -> Iterator:
     """Stream the admissible objects in the documented order, each offering
     the spec's r colours."""
@@ -210,49 +205,56 @@ def _splits(spec: EnumSpec) -> dict[tuple[int, int], int]:
     (enhanced) upper or a plain lower arc.  The arcs are split into at
     most r colour classes by backtracking, and a leaf with b classes adds
     r(r-1)...(r-b+1).  The running (cr, ne) is the maximum over the
-    classes' upper and lower arcs, each scored by `cr_ne` once per object
-    and kept under its bitmask of arcs.  Adding an arc never lowers cr or
-    ne, so a branch is dropped as soon as the running pair reaches
-    cr >= j or ne >= k.
+    classes' upper and lower arcs.  A side's cr and ne depend only on its
+    set of arcs, not on the object around it, so a class is carried as
+    that set, an integer over all n^2 upper and n^2 lower arcs, and one
+    table for the call scores each distinct set once through `cr_ne`.
+    Adding an arc never lowers cr or ne, so a branch is dropped as soon
+    as the running pair reaches cr >= j or ne >= k.
     """
-    r = spec.colours
+    n, r = spec.n, spec.colours
     # cr and ne never exceed the n arcs, so a missing bound is n + 1
-    j = spec.n + 1 if spec.j is None else spec.j
-    k = spec.n + 1 if spec.k is None else spec.k
-    falling = _falling(r)
+    j = n + 1 if spec.j is None else spec.j
+    k = n + 1 if spec.k is None else spec.k
+    falling = [1]  # falling[b] = r(r-1)...(r-b+1), for b up to the n arcs
+    for b in range(min(r, n)):
+        falling.append(falling[-1] * (r - b))
+    upper = (1 << n * n) - 1  # arc (a, b) is bit (a-1)n + b-1, lower arcs n^2 up
     out: dict[tuple[int, int], int] = {}
+    scores: dict[int, tuple[int, int]] = {}  # arc set of one side -> its (cr, ne)
+    classes: list[int] = []  # the arc set of each colour class
+
+    def place(i: int, cr: int, ne: int) -> None:
+        if i == len(arcs):
+            key = (cr, ne)
+            out[key] = out.get(key, 0) + falling[len(classes)]
+            return
+        bit, side, _ = arcs[i]
+        for c, mask in enumerate(classes):
+            grown = (mask | bit) & side
+            stats = scores.get(grown)
+            if stats is None:
+                pairs = [pair for arc_bit, _, pair in arcs[: i + 1] if grown & arc_bit]
+                stats = scores[grown] = cr_ne([(pairs, side == upper)])
+            grown_cr = stats[0] if stats[0] > cr else cr
+            grown_ne = stats[1] if stats[1] > ne else ne
+            if grown_cr < j and grown_ne < k:
+                classes[c] = mask | bit
+                place(i + 1, grown_cr, grown_ne)
+                classes[c] = mask
+        if len(classes) < r:  # a single arc is never a 2-crossing or 2-nesting
+            classes.append(bit)
+            place(i + 1, cr or 1, ne or 1)
+            classes.pop()
+
     for slices in _uncoloured(spec):
-        arcs = [(pair, enhanced) for pairs, enhanced in slices for pair in pairs]
-        side = {True: 0, False: 0}  # the upper and the lower arcs, as bitmasks
-        for b, (_, enhanced) in enumerate(arcs):
-            side[enhanced] |= 1 << b
-        scores: dict[int, tuple[int, int]] = {}  # side mask -> its (cr, ne)
-        classes: list[int] = []
-
-        def place(i: int, cr: int, ne: int) -> None:
-            if i == len(arcs):
-                key = (cr, ne)
-                out[key] = out.get(key, 0) + falling[len(classes)]
-                return
-            bit, enhanced = 1 << i, arcs[i][1]
-            for c, mask in enumerate(classes):
-                grown = (mask | bit) & side[enhanced]
-                stats = scores.get(grown)
-                if stats is None:
-                    pairs = [arcs[b][0] for b in range(i + 1) if grown >> b & 1]
-                    stats = scores[grown] = cr_ne([(pairs, enhanced)])
-                grown_cr = stats[0] if stats[0] > cr else cr
-                grown_ne = stats[1] if stats[1] > ne else ne
-                if grown_cr < j and grown_ne < k:
-                    classes[c] = mask | bit
-                    place(i + 1, grown_cr, grown_ne)
-                    classes[c] = mask
-            if len(classes) < r:  # a single arc is never a 2-crossing or 2-nesting
-                classes.append(bit)
-                place(i + 1, cr or 1, ne or 1)
-                classes.pop()
-
+        arcs = []  # per arc of the object: its bit, the bits of its side, its pair
+        for pairs, enhanced in slices:
+            shift = 0 if enhanced else n * n
+            arcs += [(1 << shift + (a - 1) * n + b - 1, upper << shift, (a, b))
+                     for a, b in pairs]
         place(0, 0, 0)
+    del place  # it reaches itself through its closure; freeing it frees the table
     return out
 
 

@@ -1,4 +1,5 @@
 """Exhaustive enumeration: ordering, workload guard, filters."""
+import gc
 from collections import Counter
 from itertools import islice
 
@@ -35,6 +36,8 @@ def test_spec_validation():
         EnumSpec("permutation", 3, colours=0)
     with pytest.raises(ValueError):
         EnumSpec("permutation", 3, j=1)
+    with pytest.raises(ValueError, match="max_objects must be nonnegative"):
+        EnumSpec("permutation", 3, max_objects=-1)
 
 
 def test_documented_permutation_order():
@@ -244,8 +247,10 @@ def test_refined_joint_histogram_matches_the_enumerator(family, n, openers, clos
 @pytest.mark.parametrize("j,k", [(None, None), (2, 2), (3, 2), (3, 3)])
 def test_walk_builds_and_scores_each_object_once(monkeypatch, family, n, j, k):
     """`count` and `joint_histogram` build one coloured object per
-    uncoloured object and score each side mask of it (one set of upper or
-    of lower arcs) at most once through `cr_ne`."""
+    uncoloured object, and score each distinct set of one class's upper or
+    lower arcs at most once per call through `cr_ne`, whichever objects it
+    occurs in.  A second identical call scores them all again: no table
+    outlives a call."""
     built = []
     for name in ("ColouredPermutation", "ColouredSetPartition"):
         real = getattr(oracle, name)
@@ -255,14 +260,15 @@ def test_walk_builds_and_scores_each_object_once(monkeypatch, family, n, j, k):
             return _real(*args)
 
         monkeypatch.setattr(oracle, name, make)
-    scored: list[list] = []  # per sliced object, the arguments given to cr_ne
+    sliced = []
+    scored = []  # the arguments given to cr_ne
 
     def slices_of(obj):
-        scored.append([])
+        sliced.append(obj)
         return colour_slices(obj)
 
     def score(slices):
-        scored[-1].append(tuple((tuple(pairs), enhanced) for pairs, enhanced in slices))
+        scored.append(tuple((tuple(pairs), enhanced) for pairs, enhanced in slices))
         return cr_ne(slices)
 
     monkeypatch.setattr(oracle, "colour_slices", slices_of)
@@ -270,15 +276,46 @@ def test_walk_builds_and_scores_each_object_once(monkeypatch, family, n, j, k):
     objects = workload(EnumSpec(family, n))
     spec = EnumSpec(family, n, colours=3, j=j, k=k)
     for run in (count, joint_histogram):
-        built.clear()
-        scored.clear()
+        calls = []
+        for _ in range(2):
+            built.clear()
+            sliced.clear()
+            scored.clear()
+            run(spec)
+            # without bounds or refinement, count is the workload: nothing built
+            want = 0 if run is count and j is None and k is None else objects
+            assert len(built) == len(sliced) == want, run.__name__
+            assert len(scored) == len(set(scored)), run.__name__
+            calls.append(list(scored))
+        assert calls[0] == calls[1], run.__name__
+    assert len(scored) > 0  # the histogram scores through cr_ne
+
+
+@pytest.mark.parametrize(
+    "run,family,n,bound",
+    [(count, "permutation", 6, 2), (joint_histogram, "permutation", 6, None),
+     (count, "setpartition", 7, 2)],
+)
+def test_walk_leaves_no_reference_cycle(run, family, n, bound):
+    """Everything the walk builds, its score table included, is freed by
+    reference counting when the call returns."""
+    spec = EnumSpec(family, n, colours=2, j=bound, k=bound)
+    gc.collect()
+    gc.disable()
+    try:
         run(spec)
-        # without bounds or refinement, count is the workload: nothing built
-        want = 0 if run is count and j is None and k is None else objects
-        assert len(built) == len(scored) == want, run.__name__
-        for calls in scored:
-            assert len(calls) == len(set(calls)), run.__name__
-    assert sum(map(len, scored)) > 0  # the histogram scores through cr_ne
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_many_colours_at_tiny_n_answer_at_once():
+    """A split has at most one class per arc, so the colourings of its
+    classes are tabulated only that far, never up to r."""
+    spec = EnumSpec("permutation", 1, colours=100_000, j=2, k=2)
+    assert count(spec) == 100_000
+    assert joint_histogram(spec) == JointHistogram({(1, 1): 100_000})
+    assert count(EnumSpec("setpartition", 2, colours=5_000_000, j=2, k=2)) == 5_000_001
 
 
 def test_colouring_counts_by_word():
