@@ -91,11 +91,14 @@ first use, for the determinant and the JSON adjacency.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
+from math import comb
 from typing import Optional
 
+from .diagrams import check_family
 from .errors import CapExceeded, ConsistencyError
 from .tableaux import conjugate
 
@@ -189,17 +192,12 @@ def build_permutation_22(r: int) -> Multigraph:
 
 
 def _bounded_shapes(j: int, k: int) -> list[tuple[int, ...]]:
-    """All partitions with at most k-1 parts, each at most j-1."""
-    shapes: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], largest: int):
-        shapes.append(prefix)
-        if len(prefix) == k - 1:
-            return
-        for part in range(1, largest + 1):
-            extend(prefix + (part,), part)
-
-    extend((), j - 1)
+    """All partitions with at most k-1 parts, each at most j-1: the list
+    grows while it is scanned by each shape's extensions by one part."""
+    shapes: list[tuple[int, ...]] = [()]
+    for s in shapes:
+        if len(s) < k - 1:
+            shapes += [s + (part,) for part in range(1, (s[-1] if s else j - 1) + 1)]
     shapes.sort(key=lambda s: (sum(s), s))
     return shapes
 
@@ -261,22 +259,14 @@ def _shape_name(shape) -> str:
     return "(%s)" % ".".join(str(p) for p in shape)
 
 
-def _check_bounds(family: str, j: int, k: int, r: int) -> None:
-    if family not in ("setpartition", "permutation"):
-        raise ValueError("family must be 'setpartition' or 'permutation'")
-    if j < 2 or k < 2:
-        raise ValueError("bounds j, k must be at least 2")
-    if r < 1:
-        raise ValueError("need at least one colour")
-
-
 def build_general(family: str, j: int, k: int, r: int, max_states: Optional[int] = None) -> Multigraph:
     """Walk graph for arbitrary bounds j, k >= 2 and r colours.
 
     States are r-tuples of box-bounded shapes (pairs of tuples for
     permutations); the state count is guarded because it grows like the
-    shape count to the r-th power.  At j = k = 2 this is the labelled graph
-    of `build_setpartition_22` or `build_permutation_22`.
+    shape count to the r-th power, and a box with more shapes than
+    `max_states` is refused before they are listed.  At j = k = 2 this is
+    the labelled graph of `build_setpartition_22` or `build_permutation_22`.
 
     >>> build_general("setpartition", 3, 3, 1).size
     6
@@ -287,9 +277,15 @@ def build_general(family: str, j: int, k: int, r: int, max_states: Optional[int]
 def _build_full(family: str, j: int, k: int, r: int, max_states: Optional[int]) -> Multigraph:
     """The body of `build_general`, which the j = k = 2 builders also call
     so that no public builder runs inside another."""
-    _check_bounds(family, j, k, r)
+    check_family(family, r, j, k)
     cap = DEFAULT_MAX_STATES if max_states is None else max_states
-    shapes = _bounded_shapes(j, k)
+    least = comb(j + k - 2, k - 1)  # the shapes in the box, each a state
+    if least > cap:  # refused before a shape is listed
+        raise CapExceeded(
+            "graph would need at least %d states (cap %d); raise the cap to proceed"
+            % (least, cap)
+        )
+    shapes = list(_corners(j, k)[2])
     if family == "setpartition":
         total = len(shapes) ** r
     else:
@@ -338,14 +334,16 @@ def build_quotient(family: str, j: int, k: int, r: int, max_states: Optional[int
     A breadth-first search from the empty state over count vectors, one
     class per key shape; `rows[a][b]` counts the moves from one member of
     orbit a into orbit b.  Orbit 0 is the start state.  The search stops as
-    soon as the orbit count passes `max_states`.
+    soon as the orbit count passes `max_states`, and does not start when
+    the one-colour states alone pass it; the key shapes are not listed
+    when even half the shapes pass it.
 
     >>> build_quotient("setpartition", 2, 2, 3).matrix
     ((4, 3, 0, 0), (1, 5, 2, 0), (0, 2, 4, 1), (0, 0, 3, 1))
     >>> build_quotient("setpartition", 2, 2, 3).states
     ('()^3', '()^2|(1)^1', '()^1|(1)^2', '(1)^3')
     """
-    _check_bounds(family, j, k, r)
+    check_family(family, r, j, k)
     cap = DEFAULT_MAX_STATES if max_states is None else max_states
     start = _start_state(family, r)
     # generators: swap two colours of one half; at j = k, conjugate one shape
@@ -353,6 +351,15 @@ def build_quotient(family: str, j: int, k: int, r: int, max_states: Optional[int
         raise ConsistencyError(
             "start state %s is not fixed by the symmetry group" % _state_name(family, start)
         )
+    # every quotient holds the states where one colour (one per half for
+    # permutations, of one size) holds a key shape; at j = k a shape and
+    # its conjugate share a key, so there are at least half as many keys
+    least = -(-comb(j + k - 2, k - 1) // (1 + (j == k)))
+    if least <= cap:
+        sizes = Counter(sum(s) for s in set(_corners(j, k)[2].values()))
+        least = sum(d if family == "setpartition" else d * d for d in sizes.values())
+    if least > cap:
+        raise _too_many_orbits(cap)
     classes, place, tables = _classes(j, k, r, keyed=True)
     states = [_vector(family, start, place, len(classes))]
     rows, _ = _rows(family, tables, states, {states[0]: 0}, cap)
@@ -375,10 +382,7 @@ def _rows(family: str, tables, states: list, index: dict, cap: int):
             dest = index.get(t)
             if dest is None:
                 if len(states) >= cap:
-                    raise CapExceeded(
-                        "symmetry quotient has more than %d orbits; raise the "
-                        "cap to proceed" % cap
-                    )
+                    raise _too_many_orbits(cap)
                 dest = index[t] = len(states)
                 states.append(t)
             row[dest] = row.get(dest, 0) + mult
@@ -386,6 +390,12 @@ def _rows(family: str, tables, states: list, index: dict, cap: int):
                 labels.setdefault((i, dest), []).append(label)
         rows.append(row)
     return tuple(rows), {key: tuple(val) for key, val in labels.items()} if labelled else None
+
+
+def _too_many_orbits(cap: int) -> CapExceeded:
+    return CapExceeded(
+        "symmetry quotient has more than %d orbits; raise the cap to proceed" % cap
+    )
 
 
 def _boxes(shapes) -> int:

@@ -17,9 +17,9 @@ symmetry group, colour relabellings and, at j = k, shape conjugations
 (`automata.build_quotient`); ``graph`` prints the full graph.
 
 Resource caps resolve flag > environment variable > default.  The
-variables are CROSSNEST_MAX_STATES (graph states, or orbits for ``gf``
-and ``series``), CROSSNEST_MAX_GF_STATES (determinant size for ``gf``,
-in orbits) and CROSSNEST_MAX_ORACLE (enumeration workload).
+variables are CROSSNEST_MAX_STATES (graph states, or keyed states for
+``gf`` and ``series``), CROSSNEST_MAX_GF_STATES (determinant size for
+``gf``, in keyed states) and CROSSNEST_MAX_ORACLE (enumeration workload).
 """
 from __future__ import annotations
 
@@ -34,8 +34,6 @@ from typing import Optional
 from . import __version__, automata, diagrams, involution, oracle, published, ratfunc, tableaux
 from .errors import CapExceeded, ConsistencyError
 from .oracle import EnumSpec
-
-FAMILIES = ("setpartition", "permutation")
 
 
 class _Usage(Exception):
@@ -299,7 +297,7 @@ def _selftest_items(max_objects: Optional[int]):
 
     def general_agrees():
         bad = []
-        for family in FAMILIES:
+        for family in diagrams.FAMILIES:
             for r in (1, 2):
                 full = ratfunc.gf_from_graph(build(family, r))
                 quotient = ratfunc.gf_from_graph(
@@ -311,7 +309,7 @@ def _selftest_items(max_objects: Optional[int]):
 
     def series_methods():
         bad = []
-        for family in FAMILIES:
+        for family in diagrams.FAMILIES:
             for r in (1, 2):
                 g = build(family, r)
                 by_gf = ratfunc.series(ratfunc.gf_from_graph(g), 12).coeffs
@@ -464,7 +462,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", metavar="verb", required=True)
 
     def family_arg(p):
-        p.add_argument("--family", choices=FAMILIES, required=True)
+        p.add_argument("--family", choices=diagrams.FAMILIES, required=True)
+
+    def max_objects_arg(p):
+        p.add_argument(
+            "--max-objects",
+            type=int,
+            help="enumeration cap (default %d)" % oracle.DEFAULT_MAX_OBJECTS,
+        )
 
     p = sub.add_parser("count", help="count diagrams by exhaustive enumeration")
     family_arg(p)
@@ -483,9 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="tabulate by (crossing, nesting) pair instead",
     )
-    p.add_argument(
-        "--max-objects", type=int, help="enumeration cap (default 10000000)"
-    )
+    max_objects_arg(p)
     out = p.add_mutually_exclusive_group()
     out.add_argument("--json", action="store_true")
     out.add_argument("--csv", action="store_true")
@@ -500,8 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-states",
             type=int,
-            help="%s cap (default 20000)"
-            % ("symmetry-orbit" if quotient else "graph state"),
+            help="%s cap (default %d)"
+            % ("keyed-state" if quotient else "graph state", automata.DEFAULT_MAX_STATES),
         )
         out = p.add_mutually_exclusive_group()
         out.add_argument("--json", action="store_true")
@@ -512,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-gf-states",
         type=int,
-        help="determinant size cap, in orbits (default 200)",
+        help="determinant size cap, in keyed states (default %d)"
+        % ratfunc.DEFAULT_MAX_GF_STATES,
     )
     p.set_defaults(func=cmd_gf)
 
@@ -551,9 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run built-in consistency checks")
     p.add_argument("--fail-on-skip", action="store_true")
-    p.add_argument(
-        "--max-objects", type=int, help="enumeration cap (default 10000000)"
-    )
+    max_objects_arg(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_selftest)
 

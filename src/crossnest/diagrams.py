@@ -65,7 +65,67 @@ def _split_colours(text: str) -> tuple[str, list[int] | None]:
     return body, (_integers(colour_part, "colour") if slash else None)
 
 
-class ColouredPermutation:
+FAMILIES = ("setpartition", "permutation")
+
+
+def check_family(family: str, colours: int, j=None, k=None) -> None:
+    """The one rule for what a family of coloured diagrams may be asked
+    for: a known family, at least one colour and bounds j, k of at least 2
+    where given."""
+    if family not in FAMILIES:
+        raise ValueError("family must be 'setpartition' or 'permutation'")
+    if colours < 1:
+        raise ValueError("need at least one colour")
+    if (j is not None and j < 2) or (k is not None and k < 2):
+        raise ValueError("bounds j, k must be at least 2")
+
+
+def _checked_colours(colours, num_colours, slots: int, mismatch: str):
+    """The checked (colours, num_colours) of a diagram with `slots` colour
+    slots: a tuple of one 1-based colour per slot, all 1 when `colours` is
+    None, and `num_colours`, by default the largest colour used.  A wrong
+    colour count raises ValueError(`mismatch`), which may name the slot
+    count as %(slots)d."""
+    colours = (1,) * slots if colours is None else tuple(colours)
+    if len(colours) != slots:
+        raise ValueError(mismatch % {"slots": slots})
+    if colours and min(colours) < 1:
+        raise ValueError("colours are 1-based")
+    top = max(colours) if colours else 1
+    if num_colours is None:
+        return colours, top
+    if num_colours < top:
+        raise ValueError("num_colours smaller than a used colour")
+    return colours, num_colours
+
+
+class _Diagram:
+    """The value core of both diagram types: immutable, and compared,
+    hashed and shown by the constructor fields its class lists in
+    `_fields`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__,) + self._values())
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__, ", ".join(map(repr, self._values())))
+
+
+class ColouredPermutation(_Diagram):
     """A permutation of [n] in one-line notation, with a colour in 1..r for
     every position; without colours it is the uncoloured permutation.
 
@@ -78,49 +138,22 @@ class ColouredPermutation:
     (1, 1, 1)
     """
 
-    __slots__ = ("word", "colours", "num_colours")
+    _fields = __slots__ = ("word", "colours", "num_colours")
 
     def __init__(self, word, colours=None, num_colours=None):
         word = tuple(word)
         n = len(word)
         if sorted(word) != list(range(1, n + 1)):
             raise ValueError("not a permutation of 1..n: %r" % (word,))
-        if colours is None:
-            colours = (1,) * n
-        colours = tuple(colours)
-        if len(colours) != n:
-            raise ValueError("need one colour per position")
-        if any(c < 1 for c in colours):
-            raise ValueError("colours are 1-based")
-        if num_colours is None:
-            num_colours = max(colours, default=1)
-        if num_colours < max(colours, default=1):
-            raise ValueError("num_colours smaller than a used colour")
+        colours, num_colours = _checked_colours(
+            colours, num_colours, n, "need one colour per position"
+        )
         object.__setattr__(self, "word", word)
         object.__setattr__(self, "colours", colours)
         object.__setattr__(self, "num_colours", num_colours)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ColouredPermutation is immutable")
-
     def __len__(self) -> int:
         return len(self.word)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ColouredPermutation)
-            and self.word == other.word
-            and self.colours == other.colours
-            and self.num_colours == other.num_colours
-        )
-
-    def __hash__(self) -> int:
-        return hash(("ColouredPermutation", self.word, self.colours, self.num_colours))
-
-    def __repr__(self) -> str:
-        return "ColouredPermutation(%r, %r, %r)" % (
-            self.word, self.colours, self.num_colours
-        )
 
     @classmethod
     def from_text(cls, text: str) -> "ColouredPermutation":
@@ -137,7 +170,7 @@ class ColouredPermutation:
 _BLOCK_SEP = re.compile(r"\}\s*,\s*\{")
 
 
-class ColouredSetPartition:
+class ColouredSetPartition(_Diagram):
     """A set partition of [n] with a colour for each consecutive-pair arc.
 
     Blocks are kept sorted internally (each block increasing, blocks by
@@ -151,7 +184,8 @@ class ColouredSetPartition:
     '{}'
     """
 
-    __slots__ = ("blocks", "n", "arc_colours", "num_colours")
+    _fields = ("blocks", "arc_colours", "num_colours")
+    __slots__ = _fields + ("n",)
 
     def __init__(self, blocks, arc_colours=None, num_colours=None):
         blocks = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
@@ -169,46 +203,17 @@ class ColouredSetPartition:
         n = len(seen)
         if seen != set(range(1, n + 1)):
             raise ValueError("blocks must partition 1..n")
-        narcs = sum(len(b) - 1 for b in blocks)
-        if arc_colours is None:
-            arc_colours = (1,) * narcs
-        arc_colours = tuple(arc_colours)
-        if len(arc_colours) != narcs:
-            raise ValueError("need one colour per arc (%d arcs)" % narcs)
-        if any(c < 1 for c in arc_colours):
-            raise ValueError("colours are 1-based")
-        if num_colours is None:
-            num_colours = max(arc_colours, default=1)
-        if num_colours < max(arc_colours, default=1):
-            raise ValueError("num_colours smaller than a used colour")
+        arc_colours, num_colours = _checked_colours(
+            arc_colours, num_colours, n - len(blocks),
+            "need one colour per arc (%(slots)d arcs)",
+        )
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arc_colours", arc_colours)
         object.__setattr__(self, "num_colours", num_colours)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ColouredSetPartition is immutable")
-
     def __len__(self) -> int:
         return self.n
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ColouredSetPartition)
-            and self.blocks == other.blocks
-            and self.arc_colours == other.arc_colours
-            and self.num_colours == other.num_colours
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            ("ColouredSetPartition", self.blocks, self.arc_colours, self.num_colours)
-        )
-
-    def __repr__(self) -> str:
-        return "ColouredSetPartition(%r, %r, %r)" % (
-            self.blocks, self.arc_colours, self.num_colours
-        )
 
     def arcs(self) -> list[tuple[int, int]]:
         """The (left, right) arcs sorted by left endpoint, aligned with

@@ -45,6 +45,7 @@ from .diagrams import (
     ColouredPermutation,
     ColouredSetPartition,
     JointHistogram,
+    check_family,
     colour_slices,
     cr_ne,
     opener_closer_sets,
@@ -68,17 +69,11 @@ class EnumSpec:
     max_objects: Optional[int] = None
 
     def __post_init__(self):
-        if self.family not in ("setpartition", "permutation"):
-            raise ValueError("family must be 'setpartition' or 'permutation'")
+        check_family(self.family, self.colours, self.j, self.k)
         if self.n < 0:
             raise ValueError("n must be nonnegative")
-        if self.colours < 1:
-            raise ValueError("need at least one colour")
         if self.max_objects is not None and self.max_objects < 0:
             raise ValueError("max_objects must be nonnegative")
-        for bound in (self.j, self.k):
-            if bound is not None and bound < 2:
-                raise ValueError("bounds j, k must be at least 2")
         for name in ("openers", "closers"):
             vertices = getattr(self, name)
             if vertices is None:

@@ -127,11 +127,11 @@ def test_transposed_box_swaps_nothing_at_symmetric_bounds():
 
 
 def test_general_builder_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bounds j, k must be at least 2$"):
         build_general("setpartition", 1, 2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need at least one colour$"):
         build_general("permutation", 2, 2, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^family must be 'setpartition' or 'permutation'$"):
         build_general("matching", 2, 2, 1)
 
 

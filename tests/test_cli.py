@@ -1,6 +1,7 @@
 """End-to-end runs of every CLI verb, exit codes and JSON schemas."""
 import argparse
 import dataclasses
+import gc
 import json
 import re
 import subprocess
@@ -437,6 +438,23 @@ def test_unknown_family_is_exit_one(capsys):
     assert "invalid choice" in err
 
 
+@pytest.mark.parametrize("verb", ["count", "gf", "series", "graph"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--family", "matching"], "invalid choice: 'matching'"),
+        (["--family", "permutation", "--colours", "0"], "error: need at least one colour\n"),
+        (["--family", "setpartition", "--j", "1"], "error: bounds j, k must be at least 2\n"),
+        (["--family", "permutation", "--k", "1"], "error: bounds j, k must be at least 2\n"),
+    ],
+)
+def test_family_colour_and_bound_faults_are_exit_one(capsys, verb, flags, message):
+    size = ["--n", "3"] if verb == "count" else []
+    code, out, err = run_cli(capsys, verb, *flags, *size)
+    assert (code, out) == (1, "")
+    assert message in err
+
+
 def test_bad_diagram_is_exit_one(capsys):
     code, _, err = run_cli(capsys, "bijection", "--input", "1 2 2")
     assert code == 1
@@ -541,6 +559,26 @@ def test_build_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("CROSSNEST_MAX_STATES", "3")
     code, _, _ = run_cli(capsys, "graph", "--family", "setpartition", "--colours", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["selftest"], ["graph", "--family", "permutation", "--j", "3", "--k", "2", "--colours", "2"]],
+)
+def test_verbs_leave_no_reference_cycle(capsys, argv):
+    """What a request builds, every graph included, is freed by reference
+    counting.  The parser is built first: argparse's help formatters make
+    cycles, once per process.  Text mode, since the JSON encoder's indented
+    output makes cycles of its own."""
+    cli.build_parser()
+    gc.collect()
+    gc.disable()
+    try:
+        code = cli.main(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert code == 0
 
 
 def test_main_builds_its_parser_once(capsys):

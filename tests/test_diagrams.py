@@ -27,18 +27,58 @@ from crossnest.diagrams import (
 from crossnest.oracle import EnumSpec, enumerate_objects
 
 
-@pytest.mark.parametrize(
-    "obj",
-    [
-        ColouredPermutation([2, 1], [1, 1], 3),
-        ColouredPermutation([3, 1, 2], [2, 1, 2], 4),
-        ColouredSetPartition([[1, 3], [2]], [1], 2),
-        ColouredSetPartition([[1, 4], [2, 3], [5]], [2, 1], 3),
-    ],
-)
+VALUES = [
+    ColouredPermutation([2, 1], [1, 1], 3),
+    ColouredPermutation([3, 1, 2], [2, 1, 2], 4),
+    ColouredPermutation([]),
+    ColouredSetPartition([[1, 3], [2]], [1], 2),
+    ColouredSetPartition([[1, 4], [2, 3], [5]], [2, 1], 3),
+    ColouredSetPartition([]),
+]
+
+
+@pytest.mark.parametrize("obj", VALUES)
 def test_repr_names_the_colour_count(obj):
     assert repr(obj).endswith(", %d)" % obj.num_colours)
     assert eval(repr(obj)) == obj
+
+
+@pytest.mark.parametrize("obj", VALUES)
+def test_diagrams_are_immutable_values(obj):
+    """Both diagram types share one value core: equal fields make equal
+    objects with equal hashes, the two types never meet (the empty
+    permutation and the empty set partition have the same fields), and
+    no attribute can be set or deleted."""
+    twin = eval(repr(obj))
+    assert twin is not obj and twin == obj and hash(twin) == hash(obj)
+    assert [other for other in VALUES if other == obj] == [obj]
+    immutable = "^%s is immutable$" % type(obj).__name__
+    for name in obj.__slots__ + ("extra",):
+        with pytest.raises(AttributeError, match=immutable):
+            setattr(obj, name, None)
+    for name in obj.__slots__:
+        with pytest.raises(AttributeError, match=immutable):
+            delattr(obj, name)
+    assert obj == twin
+
+
+@pytest.mark.parametrize(
+    "cls, args, message",
+    [
+        (ColouredPermutation, ([2, 1], [1]), "need one colour per position"),
+        (ColouredPermutation, ([2, 1], [1, 0]), "colours are 1-based"),
+        (ColouredPermutation, ([2, 1], [1, 3], 2), "num_colours smaller than a used colour"),
+        (ColouredPermutation, ([], None, 0), "num_colours smaller than a used colour"),
+        (ColouredSetPartition, ([[1, 3], [2]], [1, 1]), r"need one colour per arc \(1 arcs\)"),
+        (ColouredSetPartition, ([[1, 3], [2]], [0]), "colours are 1-based"),
+        (ColouredSetPartition, ([[1, 3], [2]], [2], 1), "num_colours smaller than a used colour"),
+        (ColouredSetPartition, ([[1]], None, 0), "num_colours smaller than a used colour"),
+    ],
+)
+def test_colour_rule_messages(cls, args, message):
+    """Both constructors check colours by one rule and keep their messages."""
+    with pytest.raises(ValueError, match="^%s$" % message):
+        cls(*args)
 
 
 def test_permutation_rejects_non_bijections():

@@ -28,14 +28,16 @@ from crossnest.oracle import (
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^family must be 'setpartition' or 'permutation'$"):
         EnumSpec("matching", 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
         EnumSpec("permutation", -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need at least one colour$"):
         EnumSpec("permutation", 3, colours=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bounds j, k must be at least 2$"):
         EnumSpec("permutation", 3, j=1)
+    with pytest.raises(ValueError, match="^bounds j, k must be at least 2$"):
+        EnumSpec("setpartition", 3, k=1)
     with pytest.raises(ValueError, match="max_objects must be nonnegative"):
         EnumSpec("permutation", 3, max_objects=-1)
 

@@ -132,6 +132,43 @@ def test_orbit_cap_stops_the_search(monkeypatch):
     assert len(expanded) <= 20
 
 
+@pytest.mark.parametrize("family", ["setpartition", "permutation"])
+@pytest.mark.parametrize(
+    "builder, message",
+    [
+        # the 19 x 19 box holds C(38, 19) shapes, each a state of the full graph
+        (build_general, r"graph would need at least 35345263800 states \(cap 20000\)"),
+        # at j = k a shape and its conjugate share a key: half as many
+        (build_quotient, "symmetry quotient has more than 20000 orbits"),
+    ],
+)
+def test_large_box_is_refused_before_its_shapes_are_listed(
+    monkeypatch, family, builder, message
+):
+    for lister in ("_corners", "_bounded_shapes"):
+        monkeypatch.setattr(automata, lister, lambda j, k: pytest.fail("listed"))
+    with pytest.raises(CapExceeded, match=message):
+        builder(family, 20, 20, 1)
+
+
+@pytest.mark.parametrize(
+    "family, j, k",
+    [("setpartition", 5, 5), ("setpartition", 5, 3), ("permutation", 4, 4), ("permutation", 4, 3)],
+)
+def test_quotient_refuses_a_one_colour_graph_over_the_cap_before_searching(
+    monkeypatch, family, j, k
+):
+    """One colour holding a key shape (one per half, of one size, for
+    permutations) is a state of every quotient, so a cap below the
+    one-colour quotient's size refuses before a move is made, and a cap
+    at that size lets the one-colour quotient be built."""
+    size = build_quotient(family, j, k, 1).size
+    assert build_quotient(family, j, k, 1, max_states=size).size == size
+    monkeypatch.setitem(automata._MOVES, family, lambda st, tables: pytest.fail("searched"))
+    with pytest.raises(CapExceeded, match="more than %d orbits" % (size - 1)):
+        build_quotient(family, j, k, 3, max_states=size - 1)
+
+
 def test_start_orbit_must_be_a_singleton(monkeypatch):
     starts = {
         ("setpartition", 2, 2): ((1,), ()),  # swapping the colours moves it
@@ -145,11 +182,11 @@ def test_start_orbit_must_be_a_singleton(monkeypatch):
 
 
 def test_quotient_validates_bounds():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^family must be 'setpartition' or 'permutation'$"):
         build_quotient("matching", 2, 2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bounds j, k must be at least 2$"):
         build_quotient("setpartition", 1, 2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need at least one colour$"):
         build_quotient("permutation", 2, 2, 0)
 
 
