@@ -11,7 +11,12 @@ n-step walk, with upper and lower shape tuples of equal total size).
 
 A state is stored as a count vector: how many colours hold a shape of
 each class (one vector per half for permutations, whose upper and lower
-colours are apart).  Each family has one move generator,
+colours are apart).  A count vector is one int, class s's count in a
+w-bit field at bit s*w, so a move adds one power of two and subtracts
+another, and the occupied classes are read off the set bits: a move
+handles only the classes it changes, and no object per class is made or
+copied (the int's arithmetic passes over its machine words, each holding
+the fields of many classes).  Each family has one move generator,
 `_setpartition_moves` or `_permutation_moves`, which moves members of
 classes along per-box corner tables and yields every target with its
 multiplicity; it is the only source of edges for the full graphs
@@ -234,11 +239,17 @@ def _corners(j: int, k: int) -> tuple[dict, dict, dict]:
 def _classes(j: int, k: int, r: int, keyed: bool):
     """The classes a count vector counts, as sorted (colour, shape) pairs:
     one per key shape, with colour 0, for the quotient, one per colour and
-    shape for the full graph.  Also returns `place(c, shape)`, the class of
-    colour c holding `shape`, and the tables the move generators read: the
-    classes one box larger and smaller than each class, and each class's
-    1-based colour where the moves are labelled (the full graph at
-    j = k = 2), else None."""
+    shape for the full graph.  A count vector is one int per half, class
+    s's count in its bits s*w to (s+1)*w - 1; w is r's bit length for the
+    quotient, whose counts reach r, and 1 for the full graph, whose counts
+    are 0 or 1.  `_move`, `_counts` and `_vector` alone know this layout;
+    a move changes two fields and makes no object per class, so it costs
+    what it changes, not one entry per class.  Also returns
+    `place(c, shape)`, the class of colour c holding `shape`, and the
+    tables the move
+    generators read: the classes one box larger and smaller than each
+    class, each class's 1-based colour where the moves are labelled (the
+    full graph at j = k = 2), else None, and w."""
     grow, shrink, key = _corners(j, k)
     tag = (lambda c, s: (0, key[s])) if keyed else (lambda c, s: (c, s))
     classes = sorted({tag(c, s) for c in range(1 if keyed else r) for s in key})
@@ -251,6 +262,7 @@ def _classes(j: int, k: int, r: int, keyed: bool):
         tuple(tuple(place(c, g) for g in grow[s]) for c, s in classes),
         tuple(tuple(place(c, g) for g in shrink[s]) for c, s in classes),
         tuple(c + 1 for c, _ in classes) if j == k == 2 and not keyed else None,
+        r.bit_length() if keyed else 1,
     )
     return classes, place, tables
 
@@ -281,27 +293,24 @@ def _build_full(family: str, j: int, k: int, r: int, max_states: Optional[int]) 
     cap = DEFAULT_MAX_STATES if max_states is None else max_states
     least = comb(j + k - 2, k - 1)  # the shapes in the box, each a state
     if least > cap:  # refused before a shape is listed
-        raise CapExceeded(
-            "graph would need at least %d states (cap %d); raise the cap to proceed"
-            % (least, cap)
-        )
+        raise _too_many_states("at least ", least, cap)
     shapes = list(_corners(j, k)[2])
     if family == "setpartition":
         total = len(shapes) ** r
     else:
         sizes = [1]  # counts of colour tuples by total box count
-        for _ in range(r):
+        for i in range(1, r + 1):
             nxt = [0] * (len(sizes) + sum(shapes[-1]))
             for t, cnt in enumerate(sizes):
                 for s in shapes:
                     nxt[t + sum(s)] += cnt
             sizes = nxt
-        total = sum(c * c for c in sizes)
+            total = sum(c * c for c in sizes)
+            # a colour more embeds every state, with an empty shape added
+            if total > cap and i < r:
+                raise _too_many_states("at least ", total, cap)
     if total > cap:
-        raise CapExceeded(
-            "graph would need %d states (cap %d); raise the cap to proceed"
-            % (total, cap)
-        )
+        raise _too_many_states("", total, cap)
     if family == "setpartition":
         states = list(product(shapes, repeat=r))
     else:
@@ -321,7 +330,7 @@ def _build_full(family: str, j: int, k: int, r: int, max_states: Optional[int]) 
     else:
         names = tuple(_state_name(family, st) for st in states)
     classes, place, tables = _classes(j, k, r, keyed=False)
-    states = [_vector(family, st, place, len(classes)) for st in states]  # count vectors now
+    states = [_vector(family, st, place, 1) for st in states]  # count vectors now
     rows, labels = _rows(family, tables, states, {v: i for i, v in enumerate(states)}, len(states))
     builder = "dedicated" if labelled else "general"
     return Multigraph(family, j, k, r, names, rows, builder, edge_labels=labels)
@@ -361,9 +370,9 @@ def build_quotient(family: str, j: int, k: int, r: int, max_states: Optional[int
     if least > cap:
         raise _too_many_orbits(cap)
     classes, place, tables = _classes(j, k, r, keyed=True)
-    states = [_vector(family, start, place, len(classes))]
+    states = [_vector(family, start, place, tables[3])]
     rows, _ = _rows(family, tables, states, {states[0]: 0}, cap)
-    names = tuple(_count_name(family, st, classes) for st in states)
+    names = tuple(_count_name(family, st, classes, tables[3]) for st in states)
     return Multigraph(family, j, k, r, names, rows, builder="quotient")
 
 
@@ -392,6 +401,12 @@ def _rows(family: str, tables, states: list, index: dict, cap: int):
     return tuple(rows), {key: tuple(val) for key, val in labels.items()} if labelled else None
 
 
+def _too_many_states(qualifier: str, count: int, cap: int) -> CapExceeded:
+    return CapExceeded(
+        "graph would need %s%d states (cap %d); raise the cap to proceed" % (qualifier, count, cap)
+    )
+
+
 def _too_many_orbits(cap: int) -> CapExceeded:
     return CapExceeded(
         "symmetry quotient has more than %d orbits; raise the cap to proceed" % cap
@@ -402,44 +417,54 @@ def _boxes(shapes) -> int:
     return sum(sum(s) for s in shapes)
 
 
-def _move(h: tuple, s: int, t: int) -> tuple:
-    """Count vector h with one member moved from class s to class t."""
-    v = list(h)
-    v[s] -= 1
-    v[t] += 1
-    return tuple(v)
+def _move(h: int, s: int, t: int, w: int) -> int:
+    """Count vector h, with w-bit fields, with one member moved from class s
+    to class t."""
+    return h - (1 << s * w) + (1 << t * w)
 
 
-def _transitories(h: tuple, occupied: list, grow, shrink):
+def _counts(h: int, w: int) -> list[tuple[int, int]]:
+    """The (class, count) pairs of count vector h's occupied classes, in
+    class order, read off its set bits."""
+    out = []
+    while h:
+        s = ((h & -h).bit_length() - 1) // w  # the lowest occupied class
+        out.append((s, (h >> s * w) & ((1 << w) - 1)))
+        h &= -1 << (s + 1) * w
+    return out
+
+
+def _transitories(h: int, occupied: list, grow, shrink, w: int):
     """(target, multiplicity, s, t) for each move of two distinct members of
-    count vector h: one of class s gains a box, then one of class t loses
-    one.  The second is one of the h[t] - [s = t] members besides the first."""
-    for s in occupied:
+    count vector h, whose occupied classes and counts are `occupied`: one of
+    class s gains a box, then one of class t loses one.  The second is one
+    of the n_t - [s = t] members besides the first."""
+    for s, m in occupied:
         for a in grow[s]:
-            grown = _move(h, s, a)
-            for t in occupied:
-                mult = h[s] * (h[t] - (s == t))
+            grown = _move(h, s, a, w)
+            for t, n in occupied:
+                mult = m * (n - (s == t))
                 if mult:
                     for b in shrink[t]:
-                        yield _move(grown, t, b), mult, s, t
+                        yield _move(grown, t, b, w), mult, s, t
 
 
-def _setpartition_moves(m: tuple, tables):
-    """(target, multiplicity, label) for the gap moves from count vector m.
+def _setpartition_moves(h: int, tables):
+    """(target, multiplicity, label) for the gap moves from count vector h.
     The label is the classic one where the tables carry colours (the full
     j = k = 2 graph), else None: each label is `colour and ...`."""
-    grow, shrink, colour = tables
-    occupied = [s for s, n in enumerate(m) if n]
-    yield m, 1, colour and "x"  # gap with no arc
-    for s in occupied:
+    grow, shrink, colour, w = tables
+    occupied = _counts(h, w)
+    yield h, 1, colour and "x"  # gap with no arc
+    for s, m in occupied:
         label = colour and str(colour[s])
         for g in grow[s]:
-            yield _move(m, s, g), m[s], label  # plain opener
+            yield _move(h, s, g, w), m, label  # plain opener
             for back in shrink[g]:  # same-colour open-then-close across the gap
-                yield _move(m, s, back), m[s], label
+                yield _move(h, s, back, w), m, label
         for back in shrink[s]:
-            yield _move(m, s, back), m[s], label
-    for target, mult, s, t in _transitories(m, occupied, grow, shrink):
+            yield _move(h, s, back, w), m, label
+    for target, mult, s, t in _transitories(h, occupied, grow, shrink, w):
         yield target, mult, colour and _pair("", colour[s], colour[t])
 
 
@@ -447,30 +472,29 @@ def _permutation_moves(state, tables):
     """(target, multiplicity, label) for the vertex moves from (upper,
     lower) count vectors; labels as for `_setpartition_moves`.  All upper
     composites come before any lower one, the classic self-loop order."""
-    grow, shrink, colour = tables
+    grow, shrink, colour, w = tables
     u, low = state
-    up = [s for s, n in enumerate(u) if n]
-    lo = [s for s, n in enumerate(low) if n]
-    for s in up:  # upper composite: insert, then delete from the grown shape
+    up, lo = _counts(u, w), _counts(low, w)
+    for s, m in up:  # upper composite: insert, then delete from the grown shape
         for g in grow[s]:
             for back in shrink[g]:
-                yield (_move(u, s, back), low), u[s], colour and str(colour[s])
-    for s in lo:  # lower composite: delete, then re-insert
+                yield (_move(u, s, back, w), low), m, colour and str(colour[s])
+    for s, m in lo:  # lower composite: delete, then re-insert
         for g in shrink[s]:
             for back in grow[g]:
-                yield (u, _move(low, s, back)), low[s], colour and "%dt" % colour[s]
-    for target, mult, s, t in _transitories(u, up, grow, shrink):
+                yield (u, _move(low, s, back, w)), m, colour and "%dt" % colour[s]
+    for target, mult, s, t in _transitories(u, up, grow, shrink, w):
         yield (target, low), mult, colour and _pair("u", colour[s], colour[t])
-    for target, mult, s, t in _transitories(low, lo, grow, shrink):
+    for target, mult, s, t in _transitories(low, lo, grow, shrink, w):
         yield (u, target), mult, colour and _pair("o", colour[s], colour[t])
     for step in (grow, shrink):  # openers and closers: one upper, one lower corner
-        for s in up:
+        for s, m in up:
             for a in step[s]:
-                new_u = _move(u, s, a)
-                for t in lo:
+                new_u = _move(u, s, a, w)
+                for t, n in lo:
                     for b in step[t]:
                         label = colour and "%d%d" % (colour[s], colour[t])
-                        yield (new_u, _move(low, t, b)), u[s] * low[t], label
+                        yield (new_u, _move(low, t, b, w)), m * n, label
 
 
 def _pair(prefix: str, c: int, c2: int) -> str:
@@ -492,15 +516,11 @@ def _halves(family: str, st) -> tuple:
     return (st,) if family == "setpartition" else st
 
 
-def _vector(family: str, st, place, size: int):
-    """The count vectors of a state given as shape tuples."""
-    out = []
-    for h in _halves(family, st):
-        v = [0] * size
-        for c, s in enumerate(h):
-            v[place(c, s)] += 1
-        out.append(tuple(v))
-    return out[0] if family == "setpartition" else tuple(out)
+def _vector(family: str, st, place, w: int):
+    """The count vectors of a state given as shape tuples: one int per half,
+    class s's count in its bits s*w to (s+1)*w - 1."""
+    out = tuple(sum(1 << place(c, s) * w for c, s in enumerate(h)) for h in _halves(family, st))
+    return out[0] if family == "setpartition" else out
 
 
 def _open_sets(family: str, st) -> tuple:
@@ -512,10 +532,10 @@ def _state_name(family: str, st) -> str:
     return ";".join("|".join(map(_shape_name, h)) for h in _halves(family, st))
 
 
-def _count_name(family: str, st, classes) -> str:
+def _count_name(family: str, st, classes, w: int) -> str:
     """A keyed state's name: each occupied class's shape and count."""
     return ";".join(
-        "|".join("%s^%d" % (_shape_name(classes[s][1]), n) for s, n in enumerate(h) if n)
+        "|".join("%s^%d" % (_shape_name(classes[s][1]), n) for s, n in _counts(h, w))
         for h in _halves(family, st)
     )
 

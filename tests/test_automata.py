@@ -141,6 +141,12 @@ def test_state_cap_refuses_before_enumerating():
     with pytest.raises(CapExceeded):
         build_general("setpartition", 2, 2, 3, max_states=4)
     build_general("setpartition", 2, 2, 3, max_states=8)
+    # the permutation count is convolved colour by colour and refused once
+    # its running total passes the cap: a colour more only adds states
+    with pytest.raises(CapExceeded, match=r"^graph would need at least 48620 states \(cap 20000\)"):
+        build_general("permutation", 2, 2, 3000)
+    with pytest.raises(CapExceeded, match=r"^graph would need 48620 states \(cap 20000\)"):
+        build_general("permutation", 2, 2, 9)
 
 
 @pytest.mark.parametrize("builder", [build_general, build_quotient])

@@ -87,12 +87,19 @@ def test_permutation_five_colours():
         assert counts[n] == oracle.count(EnumSpec("permutation", n, 5, j=2, k=2))
 
 
+# a count vector packs each class's count into r.bit_length() bits, so a
+# carry or borrow between fields would show at r = 7, whose one class can
+# hold all seven colours in a full 3-bit field, and around it
 @pytest.mark.parametrize(
     "family,j,k,r",
-    [
+    [(family, 2, 2, r) for family in ("setpartition", "permutation") for r in (1, 3, 7, 8)]
+    + [
         ("setpartition", 2, 2, 12),
+        ("setpartition", 3, 3, 1),
+        ("setpartition", 3, 3, 3),
         ("setpartition", 3, 3, 5),
-        ("permutation", 2, 2, 8),
+        ("setpartition", 3, 3, 7),
+        ("permutation", 3, 3, 1),
         ("permutation", 3, 3, 3),
     ],
 )
@@ -103,6 +110,17 @@ def test_count_vectors_match_the_sorted_tuple_search(family, j, k, r):
     assert sum(map(len, q.rows)) == sum(map(len, ref.rows))
     terms = 2 * q.size + 5
     assert series_by_power(q, terms) == series_by_power(ref, terms)
+
+
+@pytest.mark.parametrize("family,j", [("setpartition", 8), ("permutation", 6)])
+def test_one_colour_in_a_large_box_matches_the_sorted_tuple_search(family, j):
+    """A box with many key classes, so a count vector spans several
+    machine words."""
+    q = build_quotient(family, j, j, 1)
+    ref = keyed_quotient(family, j, j, 1)
+    assert q.size == ref.size > 1000
+    assert sum(map(len, q.rows)) == sum(map(len, ref.rows))
+    assert series_by_power(q, 40) == series_by_power(ref, 40)
 
 
 def test_keyed_state_names_do_not_grow_with_the_colours():
