@@ -92,7 +92,7 @@ and each has a handful of moves.  The `gf` and `series` verbs count on the
 quotient; the full graph is built only to be printed.  Graphs are stored
 as the sparse rows the moves produce, so walks, symmetry checks and DOT
 export cost one pass over the edges; the dense `matrix` view is built on
-first use, for the determinant and the JSON adjacency.
+first use, for the JSON adjacency.
 """
 from __future__ import annotations
 
@@ -295,20 +295,18 @@ def _build_full(family: str, j: int, k: int, r: int, max_states: Optional[int]) 
     if least > cap:  # refused before a shape is listed
         raise _too_many_states("at least ", least, cap)
     shapes = list(_corners(j, k)[2])
-    if family == "setpartition":
-        total = len(shapes) ** r
-    else:
-        sizes = [1]  # counts of colour tuples by total box count
-        for i in range(1, r + 1):
-            nxt = [0] * (len(sizes) + sum(shapes[-1]))
-            for t, cnt in enumerate(sizes):
-                for s in shapes:
-                    nxt[t + sum(s)] += cnt
-            sizes = nxt
-            total = sum(c * c for c in sizes)
-            # a colour more embeds every state, with an empty shape added
-            if total > cap and i < r:
-                raise _too_many_states("at least ", total, cap)
+    sizes = [1]  # counts of colour tuples by total box count
+    for i in range(1, r + 1):
+        nxt = [0] * (len(sizes) + sum(shapes[-1]))
+        for t, cnt in enumerate(sizes):
+            for s in shapes:
+                nxt[t + sum(s)] += cnt
+        sizes = nxt
+        # a set partition state is a tuple, a permutation state two of one total
+        total = sum(sizes) if family == "setpartition" else sum(c * c for c in sizes)
+        # a colour more embeds every state, with an empty shape added
+        if total > cap and i < r:
+            raise _too_many_states("at least ", total, cap)
     if total > cap:
         raise _too_many_states("", total, cap)
     if family == "setpartition":

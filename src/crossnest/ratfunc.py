@@ -12,9 +12,14 @@ generating function U = [(I - xA)^-1]_00 = N / D, with D = det(I - xA) a
 reversed characteristic polynomial and, by the adjugate formula, N the
 determinant of the minor of I - xA at 0, of degree below n.  So
 N = D * U mod x^n, and only D takes a determinant; the first n walk counts
-come from the power-series routine (repeated application of the sparse
-rows).  The tests and the selftest compare that routine with the
-recurrence of N / D, which checks D from term n on.
+come from repeated application of the sparse rows.  `gf_from_graph` first
+lumps the graph to its coarsest equitable partition that keeps state 0
+alone (`lump`): if P maps states to cells and the cells' rows Q satisfy
+AP = PQ, then (A^t)_00 = (Q^t)_00 for every t, so the determinant and the
+walks run on Q, with n the number of cells.  Its state cap counts the
+states of the graph as given.  `series_by_power` walks the graph as given,
+and the tests and the selftest compare it with the recurrence of N / D,
+which checks the lumping and D from term n on.
 """
 from __future__ import annotations
 
@@ -475,10 +480,13 @@ def series(rf: RationalFunction, terms: int) -> Series:
 def gf_from_graph(g, max_states: Optional[int] = None) -> RationalFunction:
     """Closed-walk generating function at the start state of a graph.
 
-    One determinant, D = det(I - xA); the numerator, of degree below the
-    n states, is D times the first n walk counts, truncated below x^n.
-    Guarded by a state cap (default 200): determinants of the very large
-    cases reported as infeasible are refused rather than attempted.
+    The graph is lumped first (`lump`), and the rest runs on its m cells'
+    rows A, which have the same closed walks at the start.  One
+    determinant, D = det(I - xA); the numerator, of degree below m, is D
+    times the first m walk counts, truncated below x^m.
+    Guarded by a state cap (default 200) on the states of `g` as given:
+    determinants of the very large cases reported as infeasible are
+    refused rather than attempted.
     """
     cap = DEFAULT_MAX_GF_STATES if max_states is None else max_states
     n = len(g.rows)
@@ -487,20 +495,70 @@ def gf_from_graph(g, max_states: Optional[int] = None) -> RationalFunction:
             "transfer matrix has %d states (cap %d); raise the cap to attempt it"
             % (n, cap)
         )
-    den = det_identity_minus_x(g.matrix)
-    walks = IntPoly(series_by_power(g, n).coeffs)
-    return RationalFunction(IntPoly((den * walks).coeffs[:n]), den)
+    if n == 0:
+        raise ValueError("graph has no states")
+    cells = lump(g)
+    lumped: dict[int, dict[int, int]] = {}
+    for a, row in enumerate(g.rows):  # the first state of a cell stands for it
+        if cells[a] not in lumped:
+            lumped[cells[a]] = _by_cell(row, cells)
+    rows = tuple(lumped.values())  # in cell order, as cells number first states
+    m = len(rows)
+    den = det_identity_minus_x([[row.get(b, 0) for b in range(m)] for row in rows])
+    walks = IntPoly(_walks(rows, m))
+    return RationalFunction(IntPoly((den * walks).coeffs[:m]), den)
+
+
+def lump(g) -> list[int]:
+    """The cell of each state of `g` in its coarsest equitable partition
+    that keeps the start state 0 alone, cells numbered in order of first
+    state.
+
+    Every state of a cell has the same number of edges into each cell, so
+    one state's row summed by cell is the cell's row, and the cells' rows
+    have the closed walks at state 0 of `g` (lumpability, as in Kemeny and
+    Snell, *Finite Markov Chains*, 1960).  Plain refinement from {0} and
+    the rest: a state's signature is its cell and its edge counts into
+    each cell, and cells split by signature until none does (Paige and
+    Tarjan, SIAM J. Comput. 16, 1987, without their bookkeeping).
+    """
+    rows = g.rows
+    cells = [min(a, 1) for a in range(len(rows))]
+    count = len(set(cells))
+    while True:
+        number: dict = {}
+        split = [
+            number.setdefault((cells[a], frozenset(_by_cell(row, cells).items())), len(number))
+            for a, row in enumerate(rows)
+        ]
+        if len(number) == count:
+            return split
+        cells, count = split, len(number)
+
+
+def _by_cell(row: dict[int, int], cells: list[int]) -> dict[int, int]:
+    """A `{target: count}` row summed by the targets' cells."""
+    into: dict[int, int] = {}
+    for b, count in row.items():
+        into[cells[b]] = into.get(cells[b], 0) + count
+    return into
 
 
 def series_by_power(g, terms: int) -> Series:
     """The same coefficients as `series(gf_from_graph(g), ...)`, by
-    repeatedly applying the sparse adjacency rows to the start vector."""
+    repeatedly applying the sparse adjacency rows of `g`, as given, to the
+    start vector."""
     if terms < 0:
         raise ValueError("terms must be nonnegative")
-    rows = g.rows
-    n = len(rows)
-    if n == 0:
+    if not g.rows:
         raise ValueError("graph has no states")
+    return Series(tuple(_walks(g.rows, terms)))
+
+
+def _walks(rows, terms: int) -> list[int]:
+    """The closed walks at state 0 of lengths 0 to terms - 1 over sparse
+    `{target: count}` rows."""
+    n = len(rows)
     out: list[int] = []
     vec = [0] * n
     vec[0] = 1
@@ -512,7 +570,7 @@ def series_by_power(g, terms: int) -> Series:
                 for c, count in row.items():
                     nxt[c] += v * count
         vec = nxt
-    return Series(tuple(out))
+    return out
 
 
 def split_linear_factors(p: IntPoly):

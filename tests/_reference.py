@@ -36,12 +36,7 @@ adds the j = k = 2 labels), and with `_canonical` (every shape keyed, then
 sorted) it is the sorted-tuple search `keyed_quotient` that
 `automata.build_quotient` must agree with.  `colour_quotient` is the
 quotient by colour permutations alone (S_r), one relabelling for a
-permutation's upper and lower colours together.  `lump`
-finds the coarsest equitable partition with the start state alone by
-plain refinement: cells split by each state's edge counts into the
-current cells until none splits (lumpability as in Kemeny and Snell,
-*Finite Markov Chains*, 1960; refinement as in Paige and Tarjan, SIAM J.
-Comput. 16, 1987, without their bookkeeping).
+permutation's upper and lower colours together.
 """
 from itertools import combinations
 from math import isqrt
@@ -418,20 +413,3 @@ def colour_quotient(family, j, k, r):
         reps, rows = search(family, j, k, r, lambda st: tuple(zip(*sorted(zip(*st)))))
     return Multigraph(family, j, k, r, tuple(map(repr, reps)), tuple(rows), "quotient")
 
-
-def lump(g):
-    """The cell of each state in the coarsest equitable partition of `g`
-    that keeps state 0 alone, cells numbered in order of first state."""
-    cells = [min(a, 1) for a in range(g.size)]
-    while True:
-        signatures = []
-        for a, row in enumerate(g.rows):
-            into = {}
-            for b, count in row.items():
-                into[cells[b]] = into.get(cells[b], 0) + count
-            signatures.append((cells[a], tuple(sorted(into.items()))))
-        number = {}
-        split = [number.setdefault(sig, len(number)) for sig in signatures]
-        if len(number) == len(set(cells)):
-            return split
-        cells = split

@@ -136,15 +136,17 @@ def test_general_builder_validation():
 
 
 def test_state_cap_refuses_before_enumerating():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=r"^graph would need 32768 states \(cap 20000\)"):
         build_general("setpartition", 2, 2, 15)  # 2^15 states > 20000
     with pytest.raises(CapExceeded):
         build_general("setpartition", 2, 2, 3, max_states=4)
     build_general("setpartition", 2, 2, 3, max_states=8)
-    # the permutation count is convolved colour by colour and refused once
-    # its running total passes the cap: a colour more only adds states
+    # the state count is convolved colour by colour and refused once its
+    # running total passes the cap: a colour more only adds states
     with pytest.raises(CapExceeded, match=r"^graph would need at least 48620 states \(cap 20000\)"):
         build_general("permutation", 2, 2, 3000)
+    with pytest.raises(CapExceeded, match=r"^graph would need at least 32768 states \(cap 20000\)"):
+        build_general("setpartition", 2, 2, 15000)
     with pytest.raises(CapExceeded, match=r"^graph would need 48620 states \(cap 20000\)"):
         build_general("permutation", 2, 2, 9)
 

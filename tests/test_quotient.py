@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from _reference import _canonical, colour_quotient, gf_by_minor, keyed_quotient, lump, search
+from _reference import _canonical, colour_quotient, gf_by_minor, keyed_quotient, search
 from crossnest import automata, oracle
 from crossnest.automata import (
     build_general,
@@ -22,7 +22,7 @@ from crossnest.automata import (
 )
 from crossnest.errors import CapExceeded, ConsistencyError
 from crossnest.oracle import EnumSpec
-from crossnest.ratfunc import gf_from_graph, series, series_by_power, split_linear_factors
+from crossnest.ratfunc import gf_from_graph, lump, series, series_by_power, split_linear_factors
 
 
 @pytest.mark.parametrize("r", range(1, 8))
@@ -54,6 +54,21 @@ def test_general_gf_matches_full_graph(family, j, k, r):
     q = build_quotient(family, j, k, r)
     assert q.size < full.size or r == 1
     assert gf_from_graph(q) == gf_from_graph(full)
+
+
+@pytest.mark.parametrize(
+    "family,j,k,r",
+    [(family, 2, 2, r) for family in ("setpartition", "permutation") for r in range(1, 5)]
+    + [(family, 3, 3, r) for family in ("setpartition", "permutation") for r in (1, 2)],
+)
+def test_full_graph_gf_matches_its_walks(family, j, k, r):
+    # gf_from_graph lumps both the full graph and its quotient, so the
+    # full graph's GF is checked against the walks on the graph as given.
+    # Their sequences obey recurrences of orders up to the lumped size and
+    # the size, so agreeing on that many terms they agree on all.
+    full = build_general(family, j, k, r)
+    terms = full.size + len(set(lump(full))) + 1
+    assert series(gf_from_graph(full), terms) == series_by_power(full, terms)
 
 
 @pytest.mark.parametrize(

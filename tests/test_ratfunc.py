@@ -19,6 +19,7 @@ from crossnest.ratfunc import (
     det,
     det_identity_minus_x,
     gf_from_graph,
+    lump,
     poly_gcd,
     series,
     series_by_power,
@@ -305,9 +306,42 @@ def test_series_matches_matrix_powers_on_random_graphs(g):
     assert series(gf_from_graph(g), 12) == series_by_power(g, 12)
 
 
+@st.composite
+def _planted_equitable_graphs(draw):
+    """A random small quotient Q blown up into cells: state 0 alone in cell
+    0, then cells of 1-3 states each, interleaved; every member of cell X
+    spreads Q[X][Y] edges over the members of cell Y in any way.  So the
+    cells form an equitable partition that keeps state 0 alone."""
+    q = draw(st.integers(1, 4))
+    quotient = [[draw(st.integers(0, 3)) for _ in range(q)] for _ in range(q)]
+    sizes = [1] + [draw(st.integers(1, 3)) for _ in range(q - 1)]
+    rest = draw(st.permutations(range(1, sum(sizes))))
+    members = [[0]]
+    for size in sizes[1:]:
+        members.append(sorted(rest[:size]))
+        rest = rest[size:]
+    dense = [[0] * sum(sizes) for _ in range(sum(sizes))]
+    for x, cell in enumerate(members):
+        for a in cell:
+            for y, target in enumerate(members):
+                for _ in range(quotient[x][y]):
+                    dense[a][draw(st.sampled_from(target))] += 1
+    return _graph(dense), q
+
+
 @given(_square_graphs())
 @settings(max_examples=150, deadline=None)
 def test_gf_matches_the_minor_determinant(g):
+    assert gf_from_graph(g) == gf_by_minor(g)
+
+
+@given(_planted_equitable_graphs())
+@settings(max_examples=150, deadline=None)
+def test_gf_of_a_lumpable_graph_matches_the_minor_determinant(planted):
+    g, q = planted
+    cells = lump(g)
+    assert cells[0] == 0 and 0 not in cells[1:]
+    assert len(set(cells)) <= q  # no coarser than the planted cells
     assert gf_from_graph(g) == gf_by_minor(g)
 
 
@@ -320,10 +354,11 @@ def test_gf_takes_one_determinant(monkeypatch):
         return full(mat)
 
     monkeypatch.setattr(ratfunc, "det_identity_minus_x", counting)
-    for g in (build_setpartition_22(3), build_permutation_22(2), _graph([[1]])):
+    # one determinant, of the lumped graph: 8 states lump to 4 cells, 6 to 3
+    for g, cells in ((build_setpartition_22(3), 4), (build_permutation_22(2), 3), (_graph([[1]]), 1)):
         del sizes[:]
         gf_from_graph(g)
-        assert sizes == [g.size]
+        assert sizes == [cells] == [len(set(lump(g)))]
 
 
 def test_gf_of_a_graph_with_no_states_is_refused():
