@@ -97,37 +97,51 @@ first use, for the JSON adjacency.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
 from math import comb
-from typing import Optional
 
-from .diagrams import check_family
+from .diagrams import _Value, check_family
 from .errors import CapExceeded, ConsistencyError
 from .tableaux import conjugate
 
 DEFAULT_MAX_STATES = 20_000
 
 
-@dataclass
-class Multigraph:
+class Multigraph(_Value):
     """A multigraph with a distinguished start state (index 0).
 
     `rows[a]` is a `{b: count}` dict of the edges from state a to state b,
     with no zero counts.  The full transfer graphs are symmetric; their
     symmetry quotients (builder "quotient") are not, since an orbit's row
     counts edges from one of its members.
+
+    Unlike the library's other values a graph is mutable, so unhashable,
+    and its `edge_labels` are compared but left out of its repr.
     """
 
-    family: str  # "setpartition" | "permutation"
-    j: int
-    k: int
-    colours: int
-    states: tuple[str, ...]
-    rows: tuple[dict[int, int], ...]
-    builder: str = "general"
-    edge_labels: Optional[dict] = field(default=None, repr=False)
+    _fields = ("family", "j", "k", "colours", "states", "rows", "builder")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        family: str,  # "setpartition" | "permutation"
+        j: int,
+        k: int,
+        colours: int,
+        states: tuple[str, ...],
+        rows: tuple[dict[int, int], ...],
+        builder: str = "general",
+        edge_labels: dict | None = None,
+    ):
+        self.family, self.j, self.k, self.colours = family, j, k, colours
+        self.states, self.rows = states, rows
+        self.builder, self.edge_labels = builder, edge_labels
+
+    def _values(self) -> tuple:
+        return super()._values() + (self.edge_labels,)
 
     @property
     def size(self) -> int:
@@ -271,7 +285,7 @@ def _shape_name(shape) -> str:
     return "(%s)" % ".".join(str(p) for p in shape)
 
 
-def build_general(family: str, j: int, k: int, r: int, max_states: Optional[int] = None) -> Multigraph:
+def build_general(family: str, j: int, k: int, r: int, max_states: int | None = None) -> Multigraph:
     """Walk graph for arbitrary bounds j, k >= 2 and r colours.
 
     States are r-tuples of box-bounded shapes (pairs of tuples for
@@ -286,7 +300,7 @@ def build_general(family: str, j: int, k: int, r: int, max_states: Optional[int]
     return _build_full(family, j, k, r, max_states)
 
 
-def _build_full(family: str, j: int, k: int, r: int, max_states: Optional[int]) -> Multigraph:
+def _build_full(family: str, j: int, k: int, r: int, max_states: int | None) -> Multigraph:
     """The body of `build_general`, which the j = k = 2 builders also call
     so that no public builder runs inside another."""
     check_family(family, r, j, k)
@@ -334,7 +348,7 @@ def _build_full(family: str, j: int, k: int, r: int, max_states: Optional[int]) 
     return Multigraph(family, j, k, r, names, rows, builder, edge_labels=labels)
 
 
-def build_quotient(family: str, j: int, k: int, r: int, max_states: Optional[int] = None) -> Multigraph:
+def build_quotient(family: str, j: int, k: int, r: int, max_states: int | None = None) -> Multigraph:
     """The quotient of `build_general(family, j, k, r)` by its symmetry
     group (see the module docstring).
 

@@ -25,11 +25,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
-from typing import Optional
 
 from . import __version__, automata, diagrams, involution, oracle, published, ratfunc, tableaux
 from .errors import CapExceeded, ConsistencyError
@@ -45,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
         raise _Usage("%s%s: error: %s" % (self.format_usage(), self.prog, message))
 
 
-def _cap(flag_value: Optional[int], flag: str, env_name: str) -> Optional[int]:
+def _cap(flag_value: int | None, flag: str, env_name: str) -> int | None:
     """The cap from `flag`, else from the variable `env_name`, else None."""
     source, value = flag, flag_value
     if value is None:
@@ -61,7 +59,7 @@ def _cap(flag_value: Optional[int], flag: str, env_name: str) -> Optional[int]:
     return value
 
 
-def _vertex_set(text: Optional[str], flag: str) -> Optional[frozenset[int]]:
+def _vertex_set(text: str | None, flag: str) -> frozenset[int] | None:
     """The vertices of a comma separated list, naming a bad entry."""
     if text is None:
         return None
@@ -77,8 +75,35 @@ def _vertex_set(text: Optional[str], flag: str) -> Optional[frozenset[int]]:
     return frozenset(vertices)
 
 
+def _json_text(value, pad: str = "\n") -> str:
+    """`value`, of str-keyed dicts, lists, tuples, strings and other JSON
+    scalars, in the bytes ``json.dumps(value, indent=2, sort_keys=True)``
+    gives, with `pad` opening each of its lines.  That call runs json's
+    pure-Python encoder, whose nested closures leave reference cycles
+    behind; this writer leaves none."""
+    import json.encoder
+
+    quote = json.encoder.encode_basestring_ascii
+    if isinstance(value, str):
+        return quote(value)
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        items = (
+            "%s: %s" % (quote(key), _json_text(item, inner))
+            for key, item in sorted(value.items())
+        )
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)) and value:
+        if all(type(item) is int for item in value):
+            items = map(str, value)
+        else:
+            items = (_json_text(item, inner) for item in value)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(value)
+
+
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json_text(payload))
 
 
 def _build(builder, args) -> automata.Multigraph:
@@ -273,7 +298,7 @@ def cmd_bijection(args) -> int:
     else:
         print(image.to_text())
         if trace is not None:
-            print(json.dumps(trace, indent=2, sort_keys=True))
+            _emit_json(trace)
     return 0
 
 
@@ -281,7 +306,7 @@ def cmd_bijection(args) -> int:
 # selftest
 
 
-def _selftest_items(max_objects: Optional[int]):
+def _selftest_items(max_objects: int | None):
     def build(family: str, r: int) -> automata.Multigraph:
         if family == "setpartition":
             return automata.build_setpartition_22(r)

@@ -99,10 +99,10 @@ def _checked_colours(colours, num_colours, slots: int, mismatch: str):
     return colours, num_colours
 
 
-class _Diagram:
-    """The value core of both diagram types: immutable, and compared,
-    hashed and shown by the constructor fields its class lists in
-    `_fields`."""
+class _Value:
+    """The value core of the library's record types: immutable, and
+    compared, hashed and shown by the constructor fields its class lists
+    in `_fields`, shown in keyword form: ``Series(coeffs=(1, 2))``."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -120,6 +120,16 @@ class _Diagram:
 
     def __hash__(self) -> int:
         return hash((type(self).__name__,) + self._values())
+
+    def __repr__(self) -> str:
+        shown = ("%s=%r" % (name, getattr(self, name)) for name in self._fields)
+        return "%s(%s)" % (type(self).__name__, ", ".join(shown))
+
+
+class _Diagram(_Value):
+    """The value core of both diagram types, shown positionally."""
+
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return "%s(%s)" % (type(self).__name__, ", ".join(map(repr, self._values())))

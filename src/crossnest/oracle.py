@@ -36,15 +36,15 @@ checked.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import permutations as _lex_permutations
 from itertools import product
-from typing import Iterator, Optional
 
 from .diagrams import (
     ColouredPermutation,
     ColouredSetPartition,
     JointHistogram,
+    _Value,
     check_family,
     colour_slices,
     cr_ne,
@@ -55,36 +55,45 @@ from .errors import CapExceeded
 DEFAULT_MAX_OBJECTS = 10_000_000
 
 
-@dataclass(frozen=True)
-class EnumSpec:
+class EnumSpec(_Value):
     """What to enumerate and which filters to apply."""
 
-    family: str
-    n: int
-    colours: int = 1
-    j: Optional[int] = None
-    k: Optional[int] = None
-    openers: Optional[frozenset[int]] = None
-    closers: Optional[frozenset[int]] = None
-    max_objects: Optional[int] = None
+    _fields = __slots__ = (
+        "family", "n", "colours", "j", "k", "openers", "closers", "max_objects"
+    )
 
-    def __post_init__(self):
-        check_family(self.family, self.colours, self.j, self.k)
-        if self.n < 0:
+    def __init__(
+        self,
+        family: str,
+        n: int,
+        colours: int = 1,
+        j: int | None = None,
+        k: int | None = None,
+        openers: frozenset[int] | None = None,
+        closers: frozenset[int] | None = None,
+        max_objects: int | None = None,
+    ):
+        check_family(family, colours, j, k)
+        if n < 0:
             raise ValueError("n must be nonnegative")
-        if self.max_objects is not None and self.max_objects < 0:
+        if max_objects is not None and max_objects < 0:
             raise ValueError("max_objects must be nonnegative")
-        for name in ("openers", "closers"):
-            vertices = getattr(self, name)
-            if vertices is None:
-                continue
-            vertices = frozenset(vertices)
-            for v in sorted(vertices):
-                if not 1 <= v <= self.n:
-                    raise ValueError(
-                        "%s vertex %d is outside 1..%d" % (name, v, self.n)
-                    )
-            object.__setattr__(self, name, vertices)
+        if openers is not None:
+            openers = _vertices("openers", openers, n)
+        if closers is not None:
+            closers = _vertices("closers", closers, n)
+        values = (family, n, colours, j, k, openers, closers, max_objects)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+
+def _vertices(name: str, vertices, n: int) -> frozenset[int]:
+    """`vertices` as a frozenset, checked to lie in 1..n."""
+    vertices = frozenset(vertices)
+    for v in sorted(vertices):
+        if not 1 <= v <= n:
+            raise ValueError("%s vertex %d is outside 1..%d" % (name, v, n))
+    return vertices
 
 
 def workload(spec: EnumSpec) -> int:

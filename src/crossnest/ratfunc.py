@@ -23,10 +23,9 @@ which checks the lumping and D from term n on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Optional
 
+from .diagrams import _Value
 from .errors import CapExceeded, ConsistencyError
 
 DEFAULT_MAX_GF_STATES = 200
@@ -443,14 +442,13 @@ class RationalFunction:
         return "(%s) / (%s)" % (self.num.to_text(), self.den.to_text())
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(_Value):
     """Initial coefficients of a counting series."""
 
-    coeffs: tuple[int, ...]
+    _fields = __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+    def __init__(self, coeffs):
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
 
 def series(rf: RationalFunction, terms: int) -> Series:
@@ -477,7 +475,7 @@ def series(rf: RationalFunction, terms: int) -> Series:
     return Series(tuple(out))
 
 
-def gf_from_graph(g, max_states: Optional[int] = None) -> RationalFunction:
+def gf_from_graph(g, max_states: int | None = None) -> RationalFunction:
     """Closed-walk generating function at the start state of a graph.
 
     The graph is lumped first (`lump`), and the rest runs on its m cells'

@@ -37,13 +37,19 @@ sorted) it is the sorted-tuple search `keyed_quotient` that
 `automata.build_quotient` must agree with.  `colour_quotient` is the
 quotient by colour permutations alone (S_r), one relabelling for a
 permutation's upper and lower colours together.
+
+`Multigraph`, `EnumSpec` and `Series` are the dataclasses the library's
+record types were: the library classes must match their repr, equality,
+hashing, defaults, validation and immutability.
 """
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import isqrt
 from typing import Optional
 
-from crossnest.automata import Multigraph, _corners, _start_state
-from crossnest.diagrams import _pairs, colour_slices
+from crossnest import automata
+from crossnest.automata import _corners, _start_state
+from crossnest.diagrams import _pairs, check_family, colour_slices
 from crossnest.errors import ConsistencyError
 from crossnest.ratfunc import ONE, IntPoly, RationalFunction, det_identity_minus_x
 from crossnest.tableaux import (
@@ -401,7 +407,9 @@ def keyed_quotient(family, j, k, r):
     keyed, then sorted within its half."""
     key = _corners(j, k)[2]
     reps, rows = search(family, j, k, r, lambda st: _canonical(family, st, key))
-    return Multigraph(family, j, k, r, tuple(map(repr, reps)), tuple(rows), "quotient")
+    return automata.Multigraph(
+        family, j, k, r, tuple(map(repr, reps)), tuple(rows), "quotient"
+    )
 
 
 def colour_quotient(family, j, k, r):
@@ -411,5 +419,61 @@ def colour_quotient(family, j, k, r):
         reps, rows = search(family, j, k, r, lambda st: tuple(sorted(st)))
     else:
         reps, rows = search(family, j, k, r, lambda st: tuple(zip(*sorted(zip(*st)))))
-    return Multigraph(family, j, k, r, tuple(map(repr, reps)), tuple(rows), "quotient")
+    return automata.Multigraph(
+        family, j, k, r, tuple(map(repr, reps)), tuple(rows), "quotient"
+    )
 
+
+
+# ---------------------------------------------------------------------------
+# the record types as dataclasses
+
+
+@dataclass
+class Multigraph:
+    family: str
+    j: int
+    k: int
+    colours: int
+    states: tuple
+    rows: tuple
+    builder: str = "general"
+    edge_labels: Optional[dict] = field(default=None, repr=False)
+
+
+@dataclass(frozen=True)
+class EnumSpec:
+    family: str
+    n: int
+    colours: int = 1
+    j: Optional[int] = None
+    k: Optional[int] = None
+    openers: Optional[frozenset] = None
+    closers: Optional[frozenset] = None
+    max_objects: Optional[int] = None
+
+    def __post_init__(self):
+        check_family(self.family, self.colours, self.j, self.k)
+        if self.n < 0:
+            raise ValueError("n must be nonnegative")
+        if self.max_objects is not None and self.max_objects < 0:
+            raise ValueError("max_objects must be nonnegative")
+        for name in ("openers", "closers"):
+            vertices = getattr(self, name)
+            if vertices is None:
+                continue
+            vertices = frozenset(vertices)
+            for v in sorted(vertices):
+                if not 1 <= v <= self.n:
+                    raise ValueError(
+                        "%s vertex %d is outside 1..%d" % (name, v, self.n)
+                    )
+            object.__setattr__(self, name, vertices)
+
+
+@dataclass(frozen=True)
+class Series:
+    coeffs: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))

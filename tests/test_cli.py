@@ -1,8 +1,8 @@
 """End-to-end runs of every CLI verb, exit codes and JSON schemas."""
 import argparse
-import dataclasses
 import gc
 import json
+import os
 import re
 import subprocess
 import sys
@@ -10,6 +10,8 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from crossnest import automata, cli, ratfunc
@@ -409,7 +411,10 @@ def test_selftest_detects_perturbed_adjacency(capsys, monkeypatch):
         g = build(r)
         start = dict(g.rows[0])
         start[0] = start.get(0, 0) + 1
-        return dataclasses.replace(g, rows=(start,) + g.rows[1:])
+        rows = (start,) + g.rows[1:]
+        return automata.Multigraph(
+            g.family, g.j, g.k, g.colours, g.states, rows, g.builder, g.edge_labels
+        )
 
     monkeypatch.setattr(automata, "build_setpartition_22", one_more_start_loop)
     code, out, _ = run_cli(capsys, "selftest")
@@ -563,13 +568,20 @@ def test_build_cap_env(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "argv",
-    [["selftest"], ["graph", "--family", "permutation", "--j", "3", "--k", "2", "--colours", "2"]],
+    [
+        ["selftest"],
+        ["graph", "--family", "permutation", "--j", "3", "--k", "2", "--colours", "2"],
+        ["gf", "--family", "permutation", "--colours", "2", "--json"],
+        ["graph", "--family", "permutation", "--j", "3", "--k", "2", "--colours", "2", "--json"],
+        ["selftest", "--json"],
+        ["bijection", "--input", "4 5 3 6 2 1 / 1 2 1 2 2 2", "--trace", "--json"],
+        ["bijection", "--input", "{1,3,6},{4,5},{2}", "--trace"],
+    ],
 )
 def test_verbs_leave_no_reference_cycle(capsys, argv):
     """What a request builds, every graph included, is freed by reference
-    counting.  The parser is built first: argparse's help formatters make
-    cycles, once per process.  Text mode, since the JSON encoder's indented
-    output makes cycles of its own."""
+    counting, in text and JSON mode alike.  The parser is built first:
+    argparse's help formatters make cycles, once per process."""
     cli.build_parser()
     gc.collect()
     gc.disable()
@@ -648,6 +660,48 @@ def test_import_leaves_out_multiprocessing():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_import_leaves_out_unused_stdlib():
+    """Start-up pays only for what the CLI runs.  Under -S, which keeps
+    site's own imports out, importing the CLI and building its parser
+    loads none of these modules."""
+    unused = ["dataclasses", "inspect", "json", "typing"]
+    code = (
+        "import sys, crossnest.cli; crossnest.cli.build_parser(); "
+        "print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *unused],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+JSON_PAYLOADS = st.recursive(
+    JSON_SCALARS | st.lists(st.integers()),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@given(JSON_PAYLOADS)
+@settings(max_examples=300)
+def test_json_writer_matches_json_dumps(payload):
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_json_writer_on_a_graph_payload():
+    payload = automata.build_general("permutation", 2, 2, 3).to_json_dict()
+    assert payload["edge_labels"] and payload["adjacency"]
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 def test_output_is_byte_identical_across_runs():

@@ -1,13 +1,18 @@
-"""The one-pass validator, the derived fillings and the involution against
-the slow reference paths of `_reference.py`."""
+"""The one-pass validator, the derived fillings, the involution and the
+record types against the slow reference paths of `_reference.py`."""
+import inspect
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference as reference
 from crossnest import involution
+from crossnest.automata import Multigraph
 from crossnest.involution import involute
 from crossnest.oracle import EnumSpec, enumerate_objects
+from crossnest.ratfunc import Series
 from crossnest.tableaux import (
     TableauKind,
     TableauSequence,
@@ -262,3 +267,102 @@ def test_involution_matches_the_reference_chain(monkeypatch, spec):
         patched.setattr(involution, "involute_slice", reference.involute_slice)
         expected = [involute(obj) for obj in objects]
     assert [involute(obj) for obj in objects] == expected
+
+
+# --- the record types against their dataclass twins --------------------------
+
+
+def _built(cls, values):
+    """`cls(*values)`, or the type and message of the error it raises."""
+    try:
+        return cls(*values)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _parameters(cls):
+    return [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()]
+
+
+SPEC_GRID = list(
+    product(
+        ("permutation", "setpartition", "matching"),
+        (-1, 0, 3),
+        (0, 2),
+        (None, 1, 3),
+        (None, 2),
+        (None, (), [3, 1], {4}),
+        (None, frozenset({2})),
+        (None, -1, 5),
+    )
+)
+GRAPH_GRID = list(
+    product(
+        ("setpartition", "permutation"),
+        (2, 3),
+        (2,),
+        (1, 2),
+        (("a",), ("a", "b")),
+        (({0: 1},), ({0: 1, 1: 2}, {0: 2})),
+        ("general", "quotient"),
+        (None, {(0, 0): ["x"]}),
+    )
+)
+SERIES_GRID = [((),), ([],), ((1, 2),), ([1, 2],), (range(3),), ((0, 1, 2),), ((5,),)]
+
+
+@pytest.mark.parametrize(
+    "cls, twin, grid",
+    [
+        (EnumSpec, reference.EnumSpec, SPEC_GRID),
+        (Multigraph, reference.Multigraph, GRAPH_GRID),
+        (Series, reference.Series, SERIES_GRID),
+    ],
+    ids=["EnumSpec", "Multigraph", "Series"],
+)
+def test_records_match_their_dataclass_twins(cls, twin, grid):
+    """Same parameters and defaults, the same error for every bad field,
+    and for every value the same repr and the same equalities, with equal
+    hashes for equal values or, for the mutable graph, none at all."""
+    assert _parameters(cls) == _parameters(twin)
+    assert (cls.__hash__ is None) == (twin.__hash__ is None)
+    built = []
+    for values in grid:
+        got, want = _built(cls, values), _built(twin, values)
+        if isinstance(want, tuple):
+            assert got == want, values
+            continue
+        assert repr(got) == repr(want)
+        built.append((got, want))
+    assert built
+    for (a, twin_a), (b, twin_b) in product(built, repeat=2):
+        assert (a == b) == (twin_a == twin_b)
+        if a == b and cls.__hash__ is not None:
+            assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize(
+    "value, field",
+    [
+        (EnumSpec("permutation", 3), "n"),
+        (reference.EnumSpec("permutation", 3), "n"),
+        (Series([1, 2]), "coeffs"),
+        (reference.Series([1, 2]), "coeffs"),
+    ],
+    ids=["EnumSpec", "EnumSpec-twin", "Series", "Series-twin"],
+)
+def test_frozen_records_refuse_assignment(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, 4)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_graph_stays_mutable_with_a_cached_matrix():
+    g = Multigraph("setpartition", 2, 2, 1, ("a", "b"), ({0: 2, 1: 1}, {0: 1, 1: 1}))
+    assert g.matrix == ((2, 1), (1, 1))
+    g.builder = "quotient"
+    assert g.builder == "quotient"
+    assert vars(g)["matrix"] is g.matrix
