@@ -198,7 +198,7 @@ class ColouredSetPartition(_Diagram):
     __slots__ = _fields + ("n",)
 
     def __init__(self, blocks, arc_colours=None, num_colours=None):
-        blocks = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
+        blocks = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[:1]))
         seen: set[int] = set()
         for b in blocks:
             if not b:

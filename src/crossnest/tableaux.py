@@ -22,9 +22,12 @@ the top-left corner and closes the hole by jeu de taquin.  Both are
 reversible from the box they add or remove alone, which is what `decode`
 uses: a walk is its moves, one (half-step, "add" or "remove", cell) for
 each half-step that changes the shape.  The encoders visit only those
-half-steps, two per arc, and a `TableauSequence` they build carries its
-moves; its `shapes` are replayed from the moves when something reads them,
-and its `fillings` by decoding the moves and walking the arcs again.
+half-steps, two per arc: one loop checks the arcs and lists their events,
+a sort puts the events in half-step order, and the walk returns its list
+of moves.  A `TableauSequence` the encoders build carries those moves;
+its `shapes` are replayed from the moves when something reads them, and
+its `fillings` by decoding the moves and walking the arcs again, with a
+snapshot of the rows after each move.
 
 A sequence built from shapes through the public constructor carries no
 moves: `validate_sequence` checks it in one pass from the empty shape and
@@ -237,9 +240,9 @@ class TableauSequence:
 
     @property
     def fillings(self) -> tuple[Rows, ...]:
-        rows: list[list[int]] = []
-        moves = _walk(self.kind, decode(self), self.n, rows)
-        return _held(self, {i: _filling(rows) for i, _, _ in moves})
+        after: dict = {}
+        _walk(self.kind, decode(self), self.n, after)
+        return _held(self, after)
 
     def __eq__(self, other):
         if not isinstance(other, TableauSequence):
@@ -367,14 +370,35 @@ def validate_sequence(seq: TableauSequence) -> list:
     return steps
 
 
-def _check_arcs(pairs, n, allow_loops: bool):
+def _filling(rows) -> Rows:
+    return tuple(map(tuple, rows))
+
+
+def _walk(kind: TableauKind, pairs, n: int, after=None) -> list[Move]:
+    """Check arcs over vertices 1..n and walk them through an empty
+    tableau, visiting only the half-steps an arc endpoint takes: an arc
+    (a, b) inserts b at its opening half-step of vertex a and deletes the
+    minimum at its closing half-step of vertex b.  Return each move
+    (half-step, tag, cell) in half-step order.  If `after` is a dict, the
+    filling after each move is recorded there at its half-step.
+
+    One loop checks the arcs in their given order and lists their events.
+    Only a hesitating walk takes loops, and a matching's vertex, which has
+    one half-step, may not both close an arc and open one.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    per_vertex = len(kind.half_steps)
+    # vertex v's k-th half-step is per_vertex * (v - 1) + k
+    opens, closes = kind.opens_at - per_vertex, kind.closes_at - per_vertex
+    loops = kind is TableauKind.HESITATING
     starts: set[int] = set()
     ends: set[int] = set()
-    cleaned = []
-    for a, b in (tuple(p) for p in pairs):
+    events = []
+    for a, b in pairs:
         if not (1 <= a <= b <= n):
             raise ValueError("arc (%d, %d) out of range" % (a, b))
-        if a == b and not allow_loops:
+        if a == b and not loops:
             raise ValueError("loops are not allowed here")
         if a in starts:
             raise ValueError("vertex %d starts two arcs" % a)
@@ -382,38 +406,29 @@ def _check_arcs(pairs, n, allow_loops: bool):
             raise ValueError("vertex %d ends two arcs" % b)
         starts.add(a)
         ends.add(b)
-        cleaned.append((a, b))
-    return cleaned
-
-
-def _filling(rows) -> Rows:
-    return tuple(map(tuple, rows))
-
-
-def _walk(kind: TableauKind, arcs, n: int, rows: list[list[int]]):
-    """Walk checked arcs over vertices 1..n through `rows`, an empty
-    tableau, visiting only the half-steps an arc endpoint takes: an arc
-    (a, b) inserts b at its opening half-step of vertex a and deletes the
-    minimum at its closing half-step of vertex b.  Yield each move
-    (half-step, tag, cell) in half-step order; `rows` holds the tableau
-    after it."""
-    per_vertex = len(kind.half_steps)
-    events = [(per_vertex * (a - 1) + kind.opens_at, b) for a, b in arcs]
-    events += [(per_vertex * (b - 1) + kind.closes_at, 0) for _, b in arcs]  # 0: a close
-    for i, label in sorted(events):  # no two events share a half-step
+        events += ((per_vertex * a + opens, b), (per_vertex * b + closes, 0))  # 0: a close
+    if per_vertex == 1 and not starts.isdisjoint(ends):
+        raise ValueError("matching arcs must be vertex-disjoint")
+    events.sort()  # no two events share a half-step
+    rows: list[list[int]] = []
+    moves = []
+    for i, label in events:
         if label:
-            yield (i, "add", _insert_rows(rows, label))
-            continue
-        v = (i + per_vertex - 1) // per_vertex
-        if not rows or rows[0][0] != v:
-            raise ValueError("arc endpoints out of order at vertex %d" % v)
-        yield (i, "remove", _delete_min_rows(rows))
+            moves.append((i, "add", _insert_rows(rows, label)))
+        else:
+            v = (i + per_vertex - 1) // per_vertex
+            if not rows or rows[0][0] != v:
+                raise ValueError("arc endpoints out of order at vertex %d" % v)
+            moves.append((i, "remove", _delete_min_rows(rows)))
+        if after is not None:
+            after[i] = _filling(rows)
     if rows:
         raise ConsistencyError("the %s walk must end empty" % kind.value)
+    return moves
 
 
-def _encoded(kind: TableauKind, arcs, n: int) -> TableauSequence:
-    return _built(kind, n, list(_walk(kind, arcs, n, [])))
+def _encoded(kind: TableauKind, pairs, n: int) -> TableauSequence:
+    return _built(kind, n, _walk(kind, pairs, n))
 
 
 def encode_vacillating(pairs, n: int) -> TableauSequence:
@@ -425,8 +440,7 @@ def encode_vacillating(pairs, n: int) -> TableauSequence:
     >>> seq.shapes[2], seq.shapes[8]
     ((1,), (1, 1))
     """
-    arcs = _check_arcs(pairs, n, allow_loops=False)
-    return _encoded(TableauKind.VACILLATING, arcs, n)
+    return _encoded(TableauKind.VACILLATING, pairs, n)
 
 
 def encode_hesitating(pairs, n: int) -> TableauSequence:
@@ -438,8 +452,7 @@ def encode_hesitating(pairs, n: int) -> TableauSequence:
     >>> seq.shapes[5], seq.shapes[7]
     ((2, 1), (3,))
     """
-    arcs = _check_arcs(pairs, n, allow_loops=True)
-    return _encoded(TableauKind.HESITATING, arcs, n)
+    return _encoded(TableauKind.HESITATING, pairs, n)
 
 
 def encode_semioscillating(pairs, n: int) -> TableauSequence:
@@ -449,10 +462,7 @@ def encode_semioscillating(pairs, n: int) -> TableauSequence:
     >>> seq.shapes
     ((), (1,), (1,), (2,), (2, 1), (2,), (1,), ())
     """
-    arcs = _check_arcs(pairs, n, allow_loops=False)
-    if {a for a, _ in arcs} & {b for _, b in arcs}:
-        raise ValueError("matching arcs must be vertex-disjoint")
-    return _encoded(TableauKind.SEMI_OSCILLATING, arcs, n)
+    return _encoded(TableauKind.SEMI_OSCILLATING, pairs, n)
 
 
 def decode(seq: TableauSequence) -> tuple[tuple[int, int], ...]:

@@ -143,6 +143,13 @@ def test_empty_set_partition_round_trip():
         parse_diagram("{},{1}")
 
 
+@pytest.mark.parametrize("blocks", [[[1], []], [[]], [[2], [], [1]]])
+def test_set_partition_refuses_an_empty_block(blocks):
+    """The constructor names the empty block, however the blocks sort."""
+    with pytest.raises(ValueError, match="^empty block$"):
+        ColouredSetPartition(blocks)
+
+
 def test_parse_diagram_dispatches_on_brace():
     assert isinstance(parse_diagram("{1,2},{3}"), ColouredSetPartition)
     assert isinstance(parse_diagram("2 1 3"), ColouredPermutation)

@@ -1,5 +1,6 @@
 """The crossing/nesting involution on coloured diagrams."""
 import random
+import re
 from itertools import permutations, product
 
 import pytest
@@ -66,6 +67,33 @@ def test_slice_involution_swaps_per_colour():
         assert sorted(back) == sorted(pairs), key
 
 
+# one-arc slices the walk refuses, so the slice map may not pass them
+# through: the arc, enhanced, n and the encoder's message
+BAD_ONE_ARC_SLICES = [
+    ([(2, 2)], False, 3, "loops are not allowed here"),
+    ([(0, 2)], True, 3, "arc (0, 2) out of range"),
+    ([(2, 4)], False, 3, "arc (2, 4) out of range"),
+    ([(3, 1)], True, 3, "arc (3, 1) out of range"),
+    ([(1, 2.5)], False, 3, "arc endpoints out of order at vertex 2"),
+    ([(1, 2.5)], True, 3, "arc endpoints out of order at vertex 3"),
+    ([(1, 2)], True, -1, "n must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("pairs, enhanced, n, message", BAD_ONE_ARC_SLICES)
+def test_slice_map_refuses_a_bad_arc(pairs, enhanced, n, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        involute_slice(pairs, enhanced, n)
+
+
+@pytest.mark.parametrize("enhanced", [False, True])
+def test_one_arc_slices_are_fixed(enhanced):
+    """A valid one-arc slice is its own image, a loop only when enhanced."""
+    arcs = [(a, b) for a in range(1, 6) for b in range(a + (not enhanced), 6)]
+    for arc in arcs:
+        assert involute_slice([list(arc)], enhanced, 5) == (arc,)
+
+
 # each corruption of the slice images, and the reassembly error it must raise
 CORRUPTIONS = {
     "duplicated source": ("1 2", lambda arcs: arcs + arcs[:1], "vertex 1 starts two arcs"),
@@ -104,6 +132,20 @@ def test_corrupted_image_is_exit_three(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "consistency failure: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "corruption, message",
+    [
+        (lambda arcs: tuple((a, b + 2) for a, b in arcs), "image arc (1, 3) leaves 1..2"),
+        (lambda arcs: tuple((a - 2, b) for a, b in arcs), "image arc (-1, 1) leaves 1..2"),
+    ],
+    ids=["past n", "below 1"],
+)
+def test_reassembly_rejects_image_arcs_off_the_vertices(monkeypatch, corruption, message):
+    _corrupt(monkeypatch, corruption)
+    with pytest.raises(ConsistencyError, match="^%s$" % re.escape(message)):
+        involute(parse_diagram("1 2"))
 
 
 def _random_object(rng, family, n, colours):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference as reference
+from crossnest import involution
 from crossnest.errors import ConsistencyError
 from crossnest.published import TABLEAU_EXAMPLES
 from crossnest.tableaux import (
@@ -245,15 +247,50 @@ def test_transpose_twice_on_sequences_built_with_lists():
     assert decode(image) == ((1, 3), (2, 4))
 
 
+PLAIN = ("semioscillating", "vacillating")
+
+# each fault of the arc check: the arcs, n, the encoders that see it (all
+# three when None) and the message each one raises
+ARC_FAULTS = {
+    "below range": ([(0, 2)], 3, None, "arc (0, 2) out of range"),
+    "past n": ([(2, 4)], 3, None, "arc (2, 4) out of range"),
+    "reversed": ([(3, 1)], 3, None, "arc (3, 1) out of range"),
+    "plain loop": ([(2, 2)], 3, PLAIN, "loops are not allowed here"),
+    "two starts": ([(1, 2), (1, 3)], 3, None, "vertex 1 starts two arcs"),
+    "two ends": ([(1, 3), (2, 3)], 3, None, "vertex 3 ends two arcs"),
+    "not a matching": (
+        [(1, 2), (2, 3)], 3, ("semioscillating",), "matching arcs must be vertex-disjoint"
+    ),
+    # a non-integer endpoint closes at a vertex that does not hold its label
+    "out of order": ([(1, 2.5)], 3, PLAIN, "arc endpoints out of order at vertex 2"),
+    "out of order, hesitating": (
+        [(1, 2.5)], 3, ("hesitating",), "arc endpoints out of order at vertex 3"
+    ),
+    # two faults: the first arc that breaks a rule is reported, before any
+    # fault of the walk or of a matching
+    "starts before ends": ([(1, 3), (1, 2), (2, 3)], 3, None, "vertex 1 starts two arcs"),
+    "range before order": ([(1, 2.5), (0, 1)], 3, None, "arc (0, 1) out of range"),
+    "loop before order": ([(1, 2.5), (3, 3)], 3, PLAIN, "loops are not allowed here"),
+    "loop before matching": ([(1, 2), (2, 3), (4, 4)], 4, PLAIN, "loops are not allowed here"),
+}
+
+
 def test_encoder_rejects_bad_arcs():
-    with pytest.raises(ValueError):
-        encode_vacillating([(1, 1)], 2)  # loop in a plain diagram
-    with pytest.raises(ValueError):
-        encode_vacillating([(1, 2), (1, 3)], 3)  # vertex 1 opens twice
-    with pytest.raises(ValueError):
-        encode_semioscillating([(1, 2), (2, 3)], 3)  # not a matching
-    with pytest.raises(ValueError):
-        encode_hesitating([(0, 2)], 3)
+    """Every encoder that sees a fault reports it by its exact message."""
+    for pairs, n, kinds, message in ARC_FAULTS.values():
+        for kind in kinds or sorted(ENCODERS):
+            with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+                ENCODERS[kind](pairs, n)
+
+
+@pytest.mark.parametrize("kind", sorted(ENCODERS))
+@pytest.mark.parametrize("pairs", [[], [(1, 1)]])
+def test_encoders_refuse_a_negative_n(kind, pairs):
+    """The validator's message: a walk on -1 vertices does not exist."""
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        ENCODERS[kind](pairs, -1)
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        validate_sequence(TableauSequence(TableauKind(kind), -1, [()]))
 
 
 # --- random diagrams --------------------------------------------------------
@@ -274,8 +311,8 @@ def partial_matchings(draw):
 
 
 @st.composite
-def partition_arcs(draw, loops=False):
-    n = draw(st.integers(0, 8))
+def partition_arcs(draw, loops=False, max_n=8):
+    n = draw(st.integers(0, max_n))
     rgs = []
     for _ in range(n):
         rgs.append(draw(st.integers(0, (max(rgs) + 1) if rgs else 0)))
@@ -359,6 +396,25 @@ def test_transpose_is_an_involution(case):
     back = transpose_sequence(transpose_sequence(seq))
     assert back.shapes == seq.shapes
     assert back.kind == seq.kind
+
+
+def _image_or_error(slice_map, pairs, enhanced, n):
+    try:
+        return slice_map(pairs, enhanced, n)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(st.booleans(), partition_arcs(max_n=10) | partition_arcs(loops=True, max_n=10))
+@settings(max_examples=400)
+def test_slice_map_matches_the_reference_chain(enhanced, case):
+    """`involute_slice`, whose one-arc slices skip the walk, gives the
+    image or the error of the reference chain, which walks every slice:
+    loops are drawn for both kinds, and refused in a plain one."""
+    n, pairs = case
+    assert _image_or_error(involution.involute_slice, pairs, enhanced, n) == _image_or_error(
+        reference.involute_slice, pairs, enhanced, n
+    )
 
 
 @st.composite
