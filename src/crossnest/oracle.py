@@ -15,11 +15,13 @@ Every spec carries bound and refinement filters, all optional:
 
 `count` and `joint_histogram` walk only the uncoloured objects, through
 one shared walk (`_splits`).  A colouring is admissible exactly when each
-colour class is, and relabelling colours keeps cr and ne, so the walk
-splits each object's arcs into at most r colour classes by backtracking;
-a split into b classes stands for the r(r-1)...(r-b+1) colourings that
-give its classes distinct colours.  The running (cr, ne) is the maximum
-over the classes' upper and lower arcs.  The cr and ne of one side of a
+colour class is, and relabelling colours keeps cr and ne.  A position
+colours one arc, of a permutation's upper or of its lower diagram, and
+(cr, ne) is the maximum over both, so the walk splits each side's arcs
+into at most r colour classes by backtracking, one side after the other:
+the splits of a permutation cost the sum of its two sides', not their
+product.  A split of a side into b classes stands for the r(r-1)...(r-b+1)
+colourings that give its classes distinct colours.  The cr and ne of a
 class depend only on its set of arcs, so one table per call, keyed by
 that set, scores each distinct set by `cr_ne` once, whichever objects it
 occurs in.  Adding an arc never lowers the running pair, so a branch is
@@ -205,16 +207,19 @@ def _splits(spec: EnumSpec) -> dict[tuple[int, int], int]:
     """How many r-colourings of the uncoloured objects pass the bounds, by
     (cr, ne).
 
-    Each object's one-coloured `colour_slices` make every arc an
-    (enhanced) upper or a plain lower arc.  The arcs are split into at
-    most r colour classes by backtracking, and a leaf with b classes adds
-    r(r-1)...(r-b+1).  The running (cr, ne) is the maximum over the
-    classes' upper and lower arcs.  A side's cr and ne depend only on its
-    set of arcs, not on the object around it, so a class is carried as
-    that set, an integer over all n^2 upper and n^2 lower arcs, and one
-    table for the call scores each distinct set once through `cr_ne`.
-    Adding an arc never lowers cr or ne, so a branch is dropped as soon
-    as the running pair reaches cr >= j or ne >= k.
+    An object's sides are its one-coloured `colour_slices`: a
+    permutation's (enhanced) upper and plain lower diagram, or a set
+    partition's one diagram.  Each side's arcs are split into at most r
+    colour classes by backtracking, one side at a time.  The first side's
+    walk starts from (0, 0) with weight 1; each later side's walk runs once
+    from each (cr, ne) the side before it reached, carrying that pair's
+    weight, and the last side writes into the result.  A leaf with b
+    classes adds weight * r(r-1)...(r-b+1); an empty side is one leaf, so
+    it passes its starts on.  A class is carried as its set of arcs, an
+    integer over all n^2 upper and n^2 lower arcs, and one table for the
+    call scores each distinct set once through `cr_ne`.  Adding an arc
+    never lowers cr or ne, so a branch is dropped as soon as the running
+    pair reaches cr >= j or ne >= k.
     """
     n, r = spec.n, spec.colours
     # cr and ne never exceed the n arcs, so a missing bound is n + 1
@@ -223,27 +228,26 @@ def _splits(spec: EnumSpec) -> dict[tuple[int, int], int]:
     falling = [1]  # falling[b] = r(r-1)...(r-b+1), for b up to the n arcs
     for b in range(min(r, n)):
         falling.append(falling[-1] * (r - b))
-    upper = (1 << n * n) - 1  # arc (a, b) is bit (a-1)n + b-1, lower arcs n^2 up
     out: dict[tuple[int, int], int] = {}
     scores: dict[int, tuple[int, int]] = {}  # arc set of one side -> its (cr, ne)
-    classes: list[int] = []  # the arc set of each colour class
+    classes: list[int] = []  # the arc set of each colour class of the side
 
     def place(i: int, cr: int, ne: int) -> None:
         if i == len(arcs):
             key = (cr, ne)
-            out[key] = out.get(key, 0) + falling[len(classes)]
+            into[key] = into.get(key, 0) + weight * falling[len(classes)]
             return
-        bit, side, _ = arcs[i]
+        bit, _ = arcs[i]
         for c, mask in enumerate(classes):
-            grown = (mask | bit) & side
+            grown = mask | bit
             stats = scores.get(grown)
             if stats is None:
-                pairs = [pair for arc_bit, _, pair in arcs[: i + 1] if grown & arc_bit]
-                stats = scores[grown] = cr_ne([(pairs, side == upper)])
+                pairs = [pair for arc_bit, pair in arcs[: i + 1] if grown & arc_bit]
+                stats = scores[grown] = cr_ne([(pairs, enhanced)])
             grown_cr = stats[0] if stats[0] > cr else cr
             grown_ne = stats[1] if stats[1] > ne else ne
             if grown_cr < j and grown_ne < k:
-                classes[c] = mask | bit
+                classes[c] = grown
                 place(i + 1, grown_cr, grown_ne)
                 classes[c] = mask
         if len(classes) < r:  # a single arc is never a 2-crossing or 2-nesting
@@ -251,13 +255,19 @@ def _splits(spec: EnumSpec) -> dict[tuple[int, int], int]:
             place(i + 1, cr or 1, ne or 1)
             classes.pop()
 
+    origin = {(0, 0): 1}  # the first side's one start; never written to
     for slices in _uncoloured(spec):
-        arcs = []  # per arc of the object: its bit, the bits of its side, its pair
-        for pairs, enhanced in slices:
+        starts = origin
+        last = slices[-1]
+        for side in slices:
+            pairs, enhanced = side
+            # arc (a, b) is bit (a-1)n + b-1, lower arcs n^2 up
             shift = 0 if enhanced else n * n
-            arcs += [(1 << shift + (a - 1) * n + b - 1, upper << shift, (a, b))
-                     for a, b in pairs]
-        place(0, 0, 0)
+            arcs = [(1 << shift + (a - 1) * n + b - 1, (a, b)) for a, b in pairs]
+            into = out if side is last else {}  # (cr, ne) -> weight after this side
+            for (cr, ne), weight in starts.items():
+                place(0, cr, ne)
+            starts = into
     del place  # it reaches itself through its closure; freeing it frees the table
     return out
 

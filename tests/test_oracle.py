@@ -1,7 +1,7 @@
 """Exhaustive enumeration: ordering, workload guard, filters."""
 import gc
 from collections import Counter
-from itertools import islice
+from itertools import islice, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -309,6 +309,78 @@ def test_walk_leaves_no_reference_cycle(run, family, n, bound):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _word_splits(word, r, j, k):
+    """`_splits` walked over the one uncoloured permutation `word`."""
+    spec = EnumSpec("permutation", len(word), colours=r, j=j, k=k)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            oracle, "_uncoloured", lambda _: [colour_slices(ColouredPermutation(word))]
+        )
+        return oracle._splits(spec)
+
+
+def _word_histogram(word, r, j, k):
+    """(cr, ne) counts over the r^n colourings of `word` that pass the
+    bounds, one coloured object at a time."""
+    hist = Counter()
+    for cols in product(range(1, r + 1), repeat=len(word)):
+        c, e = cr_ne(ColouredPermutation(word, cols, r))
+        if (j is None or c < j) and (k is None or e < k):
+            hist[c, e] += 1
+    return dict(hist)
+
+
+@given(
+    st.integers(0, 6).flatmap(lambda n: st.permutations(range(1, n + 1))),
+    st.integers(1, 3),
+    st.sampled_from([None, 2, 3]),
+    st.sampled_from([None, 2, 3]),
+)
+@settings(max_examples=150, deadline=None)
+def test_walk_is_exact_per_word(word, r, j, k):
+    """The walk over one word's upper and lower sides against each of its
+    colourings: sums over many objects can hide errors that cancel, one
+    object's histogram cannot."""
+    word = tuple(word)
+    assert _word_splits(word, r, j, k) == _word_histogram(word, r, j, k)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("j,k", BOUNDS)
+def test_empty_sides_match_the_enumerator(r, j, k):
+    """Objects with an empty side: n = 0 has no arcs at all, and the
+    identity, the one permutation without an opener, has no lower arc."""
+    specs = [EnumSpec(family, 0, colours=r, j=j, k=k) for family in ("permutation", "setpartition")]
+    specs += [
+        EnumSpec("permutation", n, colours=r, j=j, k=k, openers=frozenset())
+        for n in range(1, 5)
+    ]
+    for spec in specs:
+        objs = list(enumerate_objects(spec))
+        if spec.n:
+            assert {obj.word for obj in objs} == {tuple(range(1, spec.n + 1))}
+        want = JointHistogram(Counter(map(cr_ne, objs)))
+        assert joint_histogram(spec) == want
+        assert count(spec) == len(objs)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("j,k", BOUNDS)
+def test_one_lower_arc_matches_the_enumerator(r, j, k):
+    """Every word of size at most 4 with exactly one lower arc, walked on
+    its own, against its colourings in `enumerate_objects`."""
+    words = 0
+    for n in range(2, 5):
+        by_word: dict = {}
+        for obj in enumerate_objects(EnumSpec("permutation", n, colours=r, j=j, k=k)):
+            by_word.setdefault(obj.word, Counter())[cr_ne(obj)] += 1
+        for word in permutations(range(1, n + 1)):
+            if len(colour_slices(ColouredPermutation(word))[1][0]) == 1:
+                words += 1
+                assert _word_splits(word, r, j, k) == dict(by_word.get(word, {})), word
+    assert words == 1 + 4 + 11  # 2^n - n - 1 words of size n have one lower arc
 
 
 def test_many_colours_at_tiny_n_answer_at_once():
