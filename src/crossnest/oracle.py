@@ -14,21 +14,24 @@ Every spec carries bound and refinement filters, all optional:
   opener/closer vertices, for set partitions the arc start/end vertex sets.
 
 `count` and `joint_histogram` walk only the uncoloured objects, through
-one shared walk (`_splits`).  A colouring is admissible exactly when each
-colour class is, and relabelling colours keeps cr and ne.  A position
-colours one arc, of a permutation's upper or of its lower diagram, and
-(cr, ne) is the maximum over both, so the walk splits each side's arcs
-into at most r colour classes by backtracking, one side after the other:
-the splits of a permutation cost the sum of its two sides', not their
-product.  A split of a side into b classes stands for the r(r-1)...(r-b+1)
-colourings that give its classes distinct colours.  The cr and ne of a
-class depend only on its set of arcs, so one table per call, keyed by
-that set, scores each distinct set by `cr_ne` once, whichever objects it
-occurs in.  Adding an arc never lowers the running pair, so a branch is
-dropped as soon as it breaks a bound.  `joint_histogram` is the walk's
-count per (cr, ne) pair; `count` is their sum, or r^arcs per object
-without bounds.  `enumerate_objects` is the only per-colouring
-enumerator, the slow reference both are tested against.
+one shared walk (`_splits`).  Each object's sides are read straight from
+its word or restricted-growth string (`_uncoloured`); a checked object is
+built only when a refinement needs its opener and closer sets.  A
+colouring is admissible exactly when each colour class is, and
+relabelling colours keeps cr and ne.  A position colours one arc, of a
+permutation's upper or of its lower diagram, and (cr, ne) is the maximum
+over both, so the walk splits each side's arcs into at most r colour
+classes by backtracking, one side after the other: the splits of a
+permutation cost the sum of its two sides', not their product.  A split
+of a side into b classes stands for the r(r-1)...(r-b+1) colourings that
+give its classes distinct colours.  The cr and ne of a class depend only
+on its set of arcs, so one table per call, keyed by that set, scores each
+distinct set by `cr_ne` once, whichever objects it occurs in.  Adding an
+arc never lowers the running pair, so a branch is dropped as soon as it
+breaks a bound.  `joint_histogram` is the walk's count per (cr, ne) pair;
+`count` is their sum, or r^arcs per object without bounds.
+`enumerate_objects` is the only per-colouring enumerator, the slow
+reference both are tested against.
 
 Workloads are estimated before a single object is generated: n! * r^n for
 permutations, sum over block counts of S(n, b) * r^(n-b) for set
@@ -191,16 +194,47 @@ def enumerate_objects(spec: EnumSpec) -> Iterator:
 
 
 def _uncoloured(spec: EnumSpec) -> Iterator[list]:
-    """The colour slices of each uncoloured object that passes the
-    refinement, in the documented order."""
+    """The sides of each uncoloured object that passes the refinement, in
+    the documented order: its one-coloured `colour_slices`, up to the
+    order of the pairs within a side.
+
+    Without a refinement the sides are read straight from what the
+    enumeration generates, and no object is built: a word's upper pairs
+    (i, w_i) with w_i >= i and lower pairs (w_i, i) with w_i < i, and a
+    restricted-growth string's arcs (latest vertex of block b, v) for each
+    v that joins an existing block b.  With one, each object is built and
+    checked so that `opener_closer_sets` decides it.
+    """
     n = spec.n
+    if spec.openers is not None or spec.closers is not None:
+        if spec.family == "permutation":
+            objs = map(ColouredPermutation, _lex_permutations(range(1, n + 1)))
+        else:
+            objs = map(ColouredSetPartition, _rgs_blocks(n))
+        for obj in objs:
+            if _refined(spec, obj):
+                yield colour_slices(obj)
+        return
     if spec.family == "permutation":
-        objs = map(ColouredPermutation, _lex_permutations(range(1, n + 1)))
-    else:
-        objs = map(ColouredSetPartition, _rgs_blocks(n))
-    for obj in objs:
-        if _refined(spec, obj):
-            yield colour_slices(obj)
+        for word in _lex_permutations(range(1, n + 1)):
+            upper, lower = [], []
+            for i, w in enumerate(word, 1):
+                if w >= i:
+                    upper.append((i, w))
+                else:
+                    lower.append((w, i))
+            yield [(upper, True), (lower, False)]
+        return
+    for rgs in _rgs(n):
+        latest: list[int] = []  # latest[b] = the largest vertex of block b so far
+        arcs = []
+        for v, b in enumerate(rgs, 1):
+            if b < len(latest):
+                arcs.append((latest[b], v))
+                latest[b] = v
+            else:
+                latest.append(v)
+        yield [(arcs, False)]
 
 
 def _splits(spec: EnumSpec) -> dict[tuple[int, int], int]:

@@ -248,11 +248,18 @@ def test_refined_joint_histogram_matches_the_enumerator(family, n, openers, clos
 @pytest.mark.parametrize("family,n", [("permutation", 5), ("setpartition", 6)])
 @pytest.mark.parametrize("j,k", [(None, None), (2, 2), (3, 2), (3, 3)])
 def test_walk_builds_and_scores_each_object_once(monkeypatch, family, n, j, k):
-    """`count` and `joint_histogram` build one coloured object per
-    uncoloured object, and score each distinct set of one class's upper or
-    lower arcs at most once per call through `cr_ne`, whichever objects it
+    """Without a refinement `count` and `joint_histogram` build no coloured
+    object and call `colour_slices` on none: each side is read straight
+    from the word or restricted-growth string.  With one, they build one
+    checked object per uncoloured object and slice each that passes.
+    Either way they score each distinct set of one class's upper or lower
+    arcs at most once per call through `cr_ne`, whichever objects it
     occurs in.  A second identical call scores them all again: no table
     outlives a call."""
+    objects = workload(EnumSpec(family, n))
+    refinement = frozenset({1, 2})
+    passing = sum(1 for _ in enumerate_objects(EnumSpec(family, n, openers=refinement)))
+    assert 0 < passing < objects
     built = []
     for name in ("ColouredPermutation", "ColouredSetPartition"):
         real = getattr(oracle, name)
@@ -275,22 +282,39 @@ def test_walk_builds_and_scores_each_object_once(monkeypatch, family, n, j, k):
 
     monkeypatch.setattr(oracle, "colour_slices", slices_of)
     monkeypatch.setattr(oracle, "cr_ne", score)
-    objects = workload(EnumSpec(family, n))
-    spec = EnumSpec(family, n, colours=3, j=j, k=k)
-    for run in (count, joint_histogram):
-        calls = []
-        for _ in range(2):
-            built.clear()
-            sliced.clear()
-            scored.clear()
-            run(spec)
-            # without bounds or refinement, count is the workload: nothing built
-            want = 0 if run is count and j is None and k is None else objects
-            assert len(built) == len(sliced) == want, run.__name__
-            assert len(scored) == len(set(scored)), run.__name__
-            calls.append(list(scored))
-        assert calls[0] == calls[1], run.__name__
+    for openers in (None, refinement):
+        spec = EnumSpec(family, n, colours=3, j=j, k=k, openers=openers)
+        for run in (count, joint_histogram):
+            calls = []
+            for _ in range(2):
+                built.clear()
+                sliced.clear()
+                scored.clear()
+                run(spec)
+                if openers is None:
+                    assert len(built) == len(sliced) == 0, run.__name__
+                else:
+                    assert len(built) == objects, run.__name__
+                    assert len(sliced) == passing, run.__name__
+                assert len(scored) == len(set(scored)), run.__name__
+                calls.append(list(scored))
+            assert calls[0] == calls[1], run.__name__
     assert len(scored) > 0  # the histogram scores through cr_ne
+
+
+@pytest.mark.parametrize("family,top", [("permutation", 6), ("setpartition", 7)])
+def test_direct_sides_are_the_colour_slices(family, top):
+    """The sides `_uncoloured` reads straight from each word or
+    restricted-growth string are the `colour_slices` of the checked
+    one-coloured object, object by object in the documented order of
+    `enumerate_objects`: the same pairs on each side, with the same
+    `enhanced` flags."""
+    for n in range(top + 1):
+        spec = EnumSpec(family, n)
+        for sides, obj in zip(oracle._uncoloured(spec), enumerate_objects(spec), strict=True):
+            got = [(sorted(pairs), enhanced) for pairs, enhanced in sides]
+            want = [(sorted(pairs), enhanced) for pairs, enhanced in colour_slices(obj)]
+            assert got == want, obj.to_text()
 
 
 @pytest.mark.parametrize(
